@@ -344,8 +344,9 @@ pub fn lint_parallel_determinism(audit: &DeterminismAudit) -> Vec<Diagnostic> {
 
 /// Decoded outputs recomputed for the RA208 compiled-model drift audit:
 /// a miniature CRF and POS tagger are frozen into their compiled (sparse
-/// CSR) forms and both paths decode a fixed phrase set; the serialized
-/// tag sequences are compared byte-for-byte.
+/// CSR) forms, a miniature dependency parser decodes from its integer
+/// feature keys, and both paths of each decode a fixed input set; the
+/// serialized outputs are compared byte-for-byte.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledDriftAudit {
     /// NER tag sequences from the reference (dense) decoder.
@@ -356,6 +357,10 @@ pub struct CompiledDriftAudit {
     pub pos_reference: String,
     /// POS tag sequences from the compiled tagger.
     pub pos_compiled: String,
+    /// Dependency trees from the string-feature parser decode.
+    pub parser_reference: String,
+    /// Dependency trees from the integer-key parser decode.
+    pub parser_compiled: String,
 }
 
 impl CompiledDriftAudit {
@@ -459,13 +464,82 @@ impl CompiledDriftAudit {
         )
         .expect("serialize compiled POS decode");
 
+        let (parser_reference, parser_compiled) = parser_decodes();
         CompiledDriftAudit {
             ner_reference,
             ner_compiled,
             pos_reference,
             pos_compiled,
+            parser_reference,
+            parser_compiled,
         }
     }
+}
+
+/// Train a miniature parser on a fixed treebank and decode a fixed
+/// sentence set, including an unseen word and a token containing `|`,
+/// through `parse_reference` and `parse`; returns both serialized.
+fn parser_decodes() -> (String, String) {
+    use recipe_parser::parser::{DependencyParser, ParseExample, ParserConfig};
+    use recipe_parser::{DepLabel, DepTree};
+    use recipe_tagger::PennTag::{self, *};
+    use DepLabel::{Advmod, Det, Dobj, Pobj, Prep, Root};
+
+    let words = |ws: &[&str]| -> Vec<String> { ws.iter().map(|w| w.to_string()).collect() };
+    let gold = [
+        (
+            &["boil", "the", "water"][..],
+            &[VB, DT, NN][..],
+            &[None, Some(2), Some(0)][..],
+            &[Root, Det, Dobj][..],
+        ),
+        (
+            &["chop", "the", "onion"],
+            &[VB, DT, NN],
+            &[None, Some(2), Some(0)],
+            &[Root, Det, Dobj],
+        ),
+        (
+            &["stir", "gently"],
+            &[VB, RB],
+            &[None, Some(0)],
+            &[Root, Advmod],
+        ),
+        (
+            &["fry", "the", "potatoes", "in", "a", "pan"],
+            &[VB, DT, NNS, IN, DT, NN],
+            &[None, Some(2), Some(0), Some(0), Some(5), Some(3)],
+            &[Root, Det, Dobj, Prep, Det, Pobj],
+        ),
+    ];
+    let bank: Vec<ParseExample> = gold
+        .iter()
+        .filter_map(|&(ws, tags, heads, labels)| {
+            Some(ParseExample {
+                words: words(ws),
+                tags: tags.to_vec(),
+                tree: DepTree::new(heads.to_vec(), labels.to_vec()).ok()?,
+            })
+        })
+        .collect();
+    let parser = DependencyParser::train(&bank, &ParserConfig { epochs: 6, seed: 3 });
+    let sentences: Vec<(Vec<String>, Vec<PennTag>)> = vec![
+        (words(&["boil", "the", "potatoes"]), vec![VB, DT, NNS]),
+        (words(&["mince", "the", "garlic"]), vec![VB, DT, NN]),
+        (
+            words(&["fry", "the", "a|b", "in", "a", "pan"]),
+            vec![VB, DT, NN, IN, DT, NN],
+        ),
+        (words(&["stir", "-ROOT-", "gently"]), vec![VB, NN, RB]),
+    ];
+    let decode = |parse: &dyn Fn(&[String], &[PennTag]) -> DepTree| {
+        let trees: Vec<DepTree> = sentences.iter().map(|(w, t)| parse(w, t)).collect();
+        serde_json::to_value(&trees).to_compact_string()
+    };
+    (
+        decode(&|w, t| parser.parse_reference(w, t)),
+        decode(&|w, t| parser.parse(w, t)),
+    )
 }
 
 /// RA208: the compiled decode of a frozen model must be byte-identical
@@ -484,6 +558,12 @@ pub fn lint_compiled_drift(audit: &CompiledDriftAudit) -> Vec<Diagnostic> {
             &audit.pos_reference,
             &audit.pos_compiled,
             "invariant: recipe-tagger CompiledPosTagger vs PosTagger::tag",
+        ),
+        (
+            "dependency parser (integer feature keys)",
+            &audit.parser_reference,
+            &audit.parser_compiled,
+            "invariant: recipe-parser DependencyParser::parse vs parse_reference",
         ),
     ] {
         if reference != compiled {
@@ -587,5 +667,7 @@ mod tests {
         assert_eq!(diags[0].code, "RA208");
         audit.pos_compiled.push('x');
         assert_eq!(lint_compiled_drift(&audit).len(), 2);
+        audit.parser_compiled.push('x');
+        assert_eq!(lint_compiled_drift(&audit).len(), 3);
     }
 }

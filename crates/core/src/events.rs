@@ -17,7 +17,7 @@ use crate::model::CookingEvent;
 use crate::pipeline::TrainedPipeline;
 use recipe_corpus::Recipe;
 use recipe_ner::InstructionTag;
-use recipe_parser::verb_frames;
+use recipe_parser::{verb_frames, DepTree};
 use recipe_text::WordClass;
 use serde::{Deserialize, Serialize};
 
@@ -74,13 +74,18 @@ pub fn extract_sentence_events(
     pipeline.inference.events_for_sentence(words, step, || {
         let pos = pipeline.inference.pos_tag(words);
         let ner = pipeline.inference.tag_instruction(words);
-        events_from_analysis(pipeline, words, &pos, &ner, step)
+        let tree = {
+            let _span = recipe_obs::span!("parser.parse");
+            pipeline.parser.parse(words, &pos)
+        };
+        events_from_analysis(pipeline, words, &pos, &ner, &tree, step)
     })
 }
 
-/// Reference extraction path: uncompiled models, no cache. The compiled
-/// path is verified byte-identical against this (tests, lint rule RA208,
-/// and the inference benches' speedup baseline).
+/// Reference extraction path: uncompiled models, the string-feature
+/// parser decode, no cache. The compiled path is verified byte-identical
+/// against this (tests, lint rule RA208, and the inference benches'
+/// speedup baseline).
 pub fn extract_sentence_events_reference(
     pipeline: &TrainedPipeline,
     words: &[String],
@@ -92,21 +97,22 @@ pub fn extract_sentence_events_reference(
     }
     let pos = pipeline.pos.tag(words);
     let ner = tag_instruction(&pipeline.instruction_ner, words);
-    events_from_analysis(pipeline, words, &pos, &ner, step)
+    let tree = pipeline.parser.parse_reference(words, &pos);
+    events_from_analysis(pipeline, words, &pos, &ner, &tree, step)
 }
 
-/// Shared second half of sentence-event extraction: parse, collect verb
-/// frames, apply the dictionary/NER process filter, and merge each verb
-/// instance's relations into one compound event (Fig. 5).
+/// Shared second half of sentence-event extraction: collect verb frames
+/// from the parse, apply the dictionary/NER process filter, and merge
+/// each verb instance's relations into one compound event (Fig. 5).
 fn events_from_analysis(
     pipeline: &TrainedPipeline,
     words: &[String],
     pos: &[recipe_tagger::PennTag],
     ner: &[InstructionTag],
+    tree: &DepTree,
     step: usize,
 ) -> Vec<CookingEvent> {
-    let tree = pipeline.parser.parse(words, pos);
-    let frames = verb_frames(&tree, pos);
+    let frames = verb_frames(tree, pos);
 
     let lemma_verb = |w: &str| {
         pipeline

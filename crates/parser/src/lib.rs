@@ -14,7 +14,8 @@
 //! * [`transition`] — the arc-standard transition system with a static
 //!   oracle;
 //! * [`parser::DependencyParser`] — a greedy transition parser driven by an
-//!   averaged perceptron, trained on gold trees;
+//!   averaged perceptron, trained on gold trees from feature strings and
+//!   decoding from integer feature keys (the private `features` module);
 //! * [`extract`] — the verb-argument collection rules (subjects, objects,
 //!   prepositional objects, conjunction expansion).
 //!
@@ -38,6 +39,7 @@
 //! ```
 
 pub mod extract;
+mod features;
 pub mod parser;
 pub mod transition;
 pub mod tree;

@@ -5,16 +5,15 @@
 //! structural context), exactly the recipe of Nivre-style greedy parsers.
 //! Training imitates the static oracle on gold projective trees.
 
-use crate::transition::{
-    all_transitions, gold_arrays, oracle, transition_id, State, Transition, ROOT,
-};
+use crate::features::{state_features, KeyTables};
+use crate::transition::{all_transitions, gold_arrays, oracle, transition_id, State, Transition};
 use crate::tree::DepTree;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use recipe_tagger::perceptron::AveragedPerceptron;
 use recipe_tagger::PennTag;
-use serde::{Deserialize, Serialize};
+use serde::{de_field, DeError, Deserialize, Serialize, Value};
 
 /// Parser training configuration.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -46,77 +45,46 @@ pub struct ParseExample {
 }
 
 /// A trained greedy arc-standard parser.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// Serializes as its classifier and transition inventory (the JSON keys
+/// `model` and `transitions`); the integer-key decode tables are derived
+/// from the classifier when the parser is trained or loaded.
+#[derive(Debug, Clone)]
 pub struct DependencyParser {
     model: AveragedPerceptron,
     transitions: Vec<Transition>,
+    /// Decode tables built from `model`, which nothing can change after.
+    keys: KeyTables,
 }
 
-/// Word/tag lookup with virtual-root and out-of-range sentinels.
-fn node_word(words: &[String], node: usize) -> &str {
-    if node == ROOT {
-        "-ROOT-"
-    } else {
-        words.get(node - 1).map(|s| s.as_str()).unwrap_or("-NONE-")
+impl Serialize for DependencyParser {
+    fn to_json_value(&self) -> Value {
+        Value::Object(vec![
+            ("model".to_string(), self.model.to_json_value()),
+            ("transitions".to_string(), self.transitions.to_json_value()),
+        ])
     }
 }
 
-fn node_tag(tags: &[PennTag], node: usize) -> &'static str {
-    if node == ROOT {
-        "-ROOT-"
-    } else {
-        tags.get(node - 1).map(|t| t.as_str()).unwrap_or("-NONE-")
+impl Deserialize for DependencyParser {
+    fn from_json_value(v: &Value) -> Result<Self, DeError> {
+        Ok(DependencyParser::new(
+            de_field(v, "model")?,
+            de_field(v, "transitions")?,
+        ))
     }
-}
-
-/// Configuration features: unigrams and pairs over s1, s2, b1, b2 plus
-/// stack/buffer geometry.
-fn state_features(state: &State, words: &[String], tags: &[PennTag]) -> Vec<String> {
-    let s1 = state.s1();
-    let s2 = state.s2();
-    let b1 = state.b1();
-    let b2 = if state.next < state.n {
-        Some(state.next + 1)
-    } else {
-        None
-    };
-
-    let wd = |n: Option<usize>| n.map(|n| node_word(words, n)).unwrap_or("-NONE-");
-    let tg = |n: Option<usize>| n.map(|n| node_tag(tags, n)).unwrap_or("-NONE-");
-
-    let (s1w, s1t) = (wd(s1), tg(s1));
-    let (s2w, s2t) = (wd(s2), tg(s2));
-    let (b1w, b1t) = (wd(b1), tg(b1));
-    let b2t = tg(b2);
-
-    let mut f = Vec::with_capacity(20);
-    f.push("bias".to_string());
-    f.push(format!("s1w={s1w}"));
-    f.push(format!("s1t={s1t}"));
-    f.push(format!("s2w={s2w}"));
-    f.push(format!("s2t={s2t}"));
-    f.push(format!("b1w={b1w}"));
-    f.push(format!("b1t={b1t}"));
-    f.push(format!("b2t={b2t}"));
-    f.push(format!("s1w+s1t={s1w}|{s1t}"));
-    f.push(format!("s1t+s2t={s1t}|{s2t}"));
-    f.push(format!("s1w+s2w={s1w}|{s2w}"));
-    f.push(format!("s1t+b1t={s1t}|{b1t}"));
-    f.push(format!("s2t+s1t+b1t={s2t}|{s1t}|{b1t}"));
-    f.push(format!("s1t+b1t+b2t={s1t}|{b1t}|{b2t}"));
-    f.push(format!("s1w+b1w={s1w}|{b1w}"));
-    f.push(format!("s2w+s1t={s2w}|{s1t}"));
-    // Geometry: distance between s2 and s1, stack depth, buffer size class.
-    if let (Some(a), Some(b)) = (s2, s1) {
-        let dist = b.saturating_sub(a).min(5);
-        f.push(format!("dist={dist}"));
-    }
-    f.push(format!("depth={}", state.stack.len().min(5)));
-    f.push(format!("bufempty={}", state.b1().is_none()));
-    f
 }
 
 impl DependencyParser {
+    fn new(model: AveragedPerceptron, transitions: Vec<Transition>) -> Self {
+        let keys = KeyTables::build(&model);
+        DependencyParser {
+            model,
+            transitions,
+            keys,
+        }
+    }
+
     /// Train on gold trees (must be projective; non-projective examples are
     /// skipped with no error since the oracle cannot reproduce them).
     pub fn train(examples: &[ParseExample], cfg: &ParserConfig) -> Self {
@@ -153,11 +121,49 @@ impl DependencyParser {
             }
         }
         model.finalize_averaging();
-        DependencyParser { model, transitions }
+        DependencyParser::new(model, transitions)
     }
 
-    /// Greedy-parse a tagged sentence into a dependency tree.
+    /// Greedy-parse a tagged sentence into a dependency tree, scoring
+    /// transitions from integer feature keys. The tree equals
+    /// [`DependencyParser::parse_reference`]'s on every input.
     pub fn parse(&self, words: &[String], tags: &[PennTag]) -> DepTree {
+        let node_ids = self.keys.node_ids(words, tags);
+        let mut scores = vec![0.0; self.model.num_classes()];
+        self.greedy(words, tags, |state| {
+            self.keys.scores_into(state, &node_ids, &mut scores);
+            // The best legal transition, the lowest id winning ties, as
+            // in `AveragedPerceptron::predict_constrained`.
+            self.transitions
+                .iter()
+                .enumerate()
+                .filter(|&(_, t)| state.is_legal(*t))
+                .map(|(id, _)| id)
+                .reduce(|best, id| if scores[id] > scores[best] { id } else { best })
+        })
+    }
+
+    /// Greedy parse from feature strings, as the classifier was trained:
+    /// the reference decode [`DependencyParser::parse`] is checked against.
+    pub fn parse_reference(&self, words: &[String], tags: &[PennTag]) -> DepTree {
+        self.greedy(words, tags, |state| {
+            let feats = state_features(state, words, tags);
+            let legal: Vec<usize> = (0..self.transitions.len())
+                .filter(|&i| state.is_legal(self.transitions[i]))
+                .collect();
+            (!legal.is_empty()).then(|| self.model.predict_constrained(&feats, &legal))
+        })
+    }
+
+    /// The greedy decoder: apply the transition `choose` picks until the
+    /// configuration is terminal, or until `choose` finds no legal
+    /// transition (possible only with a partial transition inventory).
+    fn greedy(
+        &self,
+        words: &[String],
+        tags: &[PennTag],
+        mut choose: impl FnMut(&State) -> Option<usize>,
+    ) -> DepTree {
         assert_eq!(words.len(), tags.len(), "words/tags length mismatch");
         let n = words.len();
         if n == 0 {
@@ -170,12 +176,7 @@ impl DependencyParser {
             if state.is_terminal() {
                 break;
             }
-            let feats = state_features(&state, words, tags);
-            let legal: Vec<usize> = (0..self.transitions.len())
-                .filter(|&i| state.is_legal(self.transitions[i]))
-                .collect();
-            debug_assert!(!legal.is_empty(), "no legal transition");
-            let choice = self.model.predict_constrained(&feats, &legal);
+            let Some(choice) = choose(&state) else { break };
             state.apply(self.transitions[choice]);
         }
         state.into_tree().expect("arc-standard yields a valid tree")
@@ -262,12 +263,6 @@ impl DependencyParser {
     /// The underlying transition classifier.
     pub fn model(&self) -> &AveragedPerceptron {
         &self.model
-    }
-
-    /// Mutable model access (lint-test fault injection).
-    #[doc(hidden)]
-    pub fn model_mut(&mut self) -> &mut AveragedPerceptron {
-        &mut self.model
     }
 
     /// The transition inventory the classifier chooses from.
@@ -437,6 +432,73 @@ mod tests {
         assert_eq!(tree.len(), 4);
         assert!(tree.root().is_some());
         assert!(parser.parse_beam(&[], &[], 2).is_empty());
+    }
+
+    #[test]
+    fn key_decode_matches_string_decode() {
+        let bank = treebank();
+        use PennTag::*;
+        let mut inputs: Vec<(Vec<String>, Vec<PennTag>)> = bank
+            .iter()
+            .map(|ex| (ex.words.clone(), ex.tags.clone()))
+            .collect();
+        inputs.push((
+            words(&["whisk", "-ROOT-", "a|b", "eggs"]),
+            vec![VB, NN, SYM, NNS],
+        ));
+        inputs.push((words(&["-NONE-", "the", ""]), vec![NN, DT, NN]));
+        // Zero epochs leave every score tied at zero, so the tie-break
+        // decides every transition.
+        for (epochs, seed) in [(0, 0), (1, 1), (6, 2), (6, 3)] {
+            let parser = DependencyParser::train(&bank, &ParserConfig { epochs, seed });
+            let mut scores = vec![0.0; parser.model.num_classes()];
+            for (w, t) in &inputs {
+                assert_eq!(parser.parse(w, t), parser.parse_reference(w, t), "{w:?}");
+                // Every configuration on the way scores bit for bit alike.
+                let node_ids = parser.keys.node_ids(w, t);
+                let mut state = State::new(w.len());
+                while !state.is_terminal() {
+                    parser.keys.scores_into(&state, &node_ids, &mut scores);
+                    let feats = state_features(&state, w, t);
+                    assert_eq!(
+                        scores,
+                        parser.model.scores(&feats),
+                        "{w:?} at {:?}",
+                        state.stack
+                    );
+                    let legal: Vec<usize> = (0..parser.transitions.len())
+                        .filter(|&i| state.is_legal(parser.transitions[i]))
+                        .collect();
+                    let best = parser.model.predict_constrained(&feats, &legal);
+                    state.apply(parser.transitions[best]);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn json_round_trip_keeps_keys_and_decodes_identically() {
+        let parser = DependencyParser::train(&treebank(), &ParserConfig { epochs: 6, seed: 4 });
+        let json = serde_json::to_value(&parser);
+        let keys: Vec<&str> = match &json {
+            serde::Value::Object(entries) => entries.iter().map(|(k, _)| k.as_str()).collect(),
+            other => panic!("parser serialized as {other:?}"),
+        };
+        assert_eq!(keys, ["model", "transitions"]);
+        let text = serde_json::to_string(&parser).unwrap();
+        let back: DependencyParser = serde_json::from_str(&text).unwrap();
+        assert_eq!(serde_json::to_string(&back).unwrap(), text);
+        use PennTag::*;
+        for (w, t) in [
+            (
+                words(&["fry", "the", "onion", "in", "a", "pan"]),
+                vec![VB, DT, NN, IN, DT, NN],
+            ),
+            (words(&["stir", "unseen", "gently"]), vec![VB, NN, RB]),
+        ] {
+            assert_eq!(back.parse(&w, &t), parser.parse(&w, &t));
+            assert_eq!(back.parse(&w, &t), back.parse_reference(&w, &t));
+        }
     }
 
     #[test]

@@ -71,12 +71,10 @@ impl DepLabel {
         DepLabel::Dep,
     ];
 
-    /// Dense id.
+    /// Dense id: the position in [`DepLabel::ALL`], which lists the
+    /// variants in declaration order.
     pub fn index(self) -> usize {
-        Self::ALL
-            .iter()
-            .position(|&l| l == self)
-            .expect("label in ALL")
+        self as usize
     }
 
     /// Canonical lowercase string (spaCy style).

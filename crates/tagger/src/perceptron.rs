@@ -20,9 +20,11 @@ use std::collections::HashMap;
 struct Row {
     /// Current weights, one per class.
     w: Vec<f64>,
-    /// Accumulated `w * steps` totals, one per class.
+    /// Accumulated `w * steps` totals, one per class; emptied by
+    /// `finalize_averaging`, after which only `w` is read.
     totals: Vec<f64>,
-    /// Step at which each class weight last changed.
+    /// Step at which each class weight last changed; emptied with
+    /// `totals`.
     stamps: Vec<u64>,
 }
 
@@ -95,9 +97,10 @@ impl AveragedPerceptron {
 
     /// Iterate `(feature, current weights)` rows, in arbitrary order.
     pub fn weight_rows(&self) -> impl Iterator<Item = (&str, &[f64])> {
-        self.ids
-            .iter()
-            .map(|(f, &id)| (f.as_str(), self.rows[id as usize].w.as_slice()))
+        self.ids.iter().filter_map(|(f, &id)| {
+            let row = self.rows.get(id as usize)?;
+            Some((f.as_str(), row.w.as_slice()))
+        })
     }
 
     /// Overwrite one weight, creating the feature row if absent. Exists
@@ -195,23 +198,31 @@ impl AveragedPerceptron {
         self.update_ids(truth, guess, &ids);
     }
 
-    /// Replace each weight with its average over all training steps.
-    /// Call exactly once, after the last `update`.
+    /// Replace each weight with its average over all training steps and
+    /// drop the training-only bookkeeping (`totals`, `stamps`), which
+    /// nothing reads once the model is averaged. Call exactly once, after
+    /// the last `update`.
     pub fn finalize_averaging(&mut self) {
-        if self.averaged || self.steps == 0 {
-            self.averaged = true;
+        if self.averaged {
             return;
         }
-        let steps = self.steps;
-        for row in &mut self.rows {
-            for c in 0..self.num_classes {
-                let elapsed = steps - row.stamps[c];
-                row.totals[c] += elapsed as f64 * row.w[c];
-                row.w[c] = row.totals[c] / steps as f64;
-                row.stamps[c] = steps;
-            }
-        }
         self.averaged = true;
+        let steps = self.steps;
+        let classes = self.num_classes;
+        for row in &mut self.rows {
+            if steps > 0 {
+                for c in 0..classes {
+                    let elapsed = steps - row.stamps[c];
+                    row.totals[c] += elapsed as f64 * row.w[c];
+                    row.w[c] = row.totals[c] / steps as f64;
+                }
+            }
+            row.totals = Vec::new();
+            row.stamps = Vec::new();
+        }
+        if steps == 0 {
+            return;
+        }
         // Drop all-zero rows (they cost memory and change nothing),
         // compacting surviving ids densely in old-id order.
         let keep: Vec<bool> = self
@@ -338,6 +349,41 @@ mod tests {
         let mut p = AveragedPerceptron::new(2);
         p.finalize_averaging();
         p.update(0, 1, &feats(&["f"]));
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot keep training")]
+    fn finalized_model_survives_a_json_round_trip_without_training_state() {
+        let mut p = AveragedPerceptron::new(3);
+        let f = feats(&["bias", "w=hot"]);
+        for truth in [2, 1, 2] {
+            let g = p.predict(&f);
+            p.update(truth, g, &f);
+        }
+        p.finalize_averaging();
+        let json = serde_json::to_string(&p).unwrap();
+        assert!(json.contains("\"totals\":[]") && json.contains("\"stamps\":[]"));
+        let mut back: AveragedPerceptron = serde_json::from_str(&json).unwrap();
+        let mut rows: Vec<_> = p.weight_rows().collect();
+        let mut rows_back: Vec<_> = back.weight_rows().collect();
+        rows.sort_by_key(|r| r.0);
+        rows_back.sort_by_key(|r| r.0);
+        assert_eq!(rows, rows_back);
+        assert_eq!(back.scores(&f), p.scores(&f));
+        back.update(0, 1, &f);
+    }
+
+    #[test]
+    fn weight_rows_skip_ids_without_a_row() {
+        // A hand-edited model file can map a feature to a missing row;
+        // listing the rows (as the parser does on load) must not panic.
+        let mut p = AveragedPerceptron::new(2);
+        p.inject_weight("kept", 0, 1.0);
+        let json = serde_json::to_string(&p).unwrap();
+        let json = json.replace("{\"kept\":0}", "{\"kept\":0,\"dangling\":7}");
+        let back: AveragedPerceptron = serde_json::from_str(&json).unwrap();
+        let features: Vec<&str> = back.weight_rows().map(|(f, _)| f).collect();
+        assert_eq!(features, ["kept"]);
     }
 
     #[test]

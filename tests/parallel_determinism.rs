@@ -13,7 +13,10 @@ use recipe_cluster::{minibatch_kmeans_rt, KMeans, KMeansConfig, MiniBatchConfig}
 use recipe_core::pipeline::{PipelineConfig, TrainedPipeline};
 use recipe_corpus::{CorpusSpec, RecipeCorpus};
 use recipe_ner::{CompiledSequenceModel, IngredientTag, SequenceModel, TrainConfig, Trainer};
+use recipe_parser::parser::{DependencyParser, ParseExample, ParserConfig};
+use recipe_parser::{DepLabel, DepTree};
 use recipe_runtime::Runtime;
+use recipe_tagger::PennTag;
 use std::sync::{Mutex, MutexGuard};
 
 const THREAD_COUNTS: [usize; 8] = [1, 2, 3, 4, 5, 6, 7, 8];
@@ -265,6 +268,93 @@ fn compiled_viterbi_matches_reference_on_seeded_models() {
                     "seed {seed}: compiled {trainer:?} decode differs on {input:?}"
                 );
             }
+        }
+    }
+}
+
+/// Heads of a random projective tree over tokens `lo..hi` whose subtree
+/// root attaches to `head`: pick the root, then recurse on both sides.
+fn projective_heads(
+    rng: &mut StdRng,
+    lo: usize,
+    hi: usize,
+    head: Option<usize>,
+    heads: &mut [Option<usize>],
+) {
+    if lo >= hi {
+        return;
+    }
+    let root = rng.random_range(lo..hi);
+    heads[root] = head;
+    projective_heads(rng, lo, root, Some(root), heads);
+    projective_heads(rng, root + 1, hi, Some(root), heads);
+}
+
+#[test]
+fn parser_key_decode_matches_reference_on_seeded_models() {
+    // Words that stress the split of feature strings into integer keys:
+    // `|` inside words (so `a|b|c` is both `a` + `b|c` and `a|b` + `c`),
+    // `=`, the sentinel spellings, the empty string and the bias
+    // feature's name.
+    let words = [
+        "a|b", "|", "x=y", "-ROOT-", "-NONE-", "", "bias", "a", "b", "c", "b|c", "boil", "the",
+    ];
+    let unseen = ["unseen", "a|", "|b", "a|b|c", "=", "-root-", "bias="];
+    let tags = [
+        PennTag::VB,
+        PennTag::DT,
+        PennTag::NN,
+        PennTag::NNS,
+        PennTag::IN,
+        PennTag::RB,
+        PennTag::SYM,
+    ];
+    for seed in 0..8u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let bank: Vec<ParseExample> = (0..14)
+            .map(|_| {
+                let n = rng.random_range(1..8usize);
+                let mut heads = vec![None; n];
+                projective_heads(&mut rng, 0, n, None, &mut heads);
+                let labels = heads
+                    .iter()
+                    .map(|h| match h {
+                        None => DepLabel::Root,
+                        Some(_) => DepLabel::ALL[rng.random_range(1..DepLabel::ALL.len())],
+                    })
+                    .collect();
+                ParseExample {
+                    words: (0..n)
+                        .map(|_| words[rng.random_range(0..words.len())].to_string())
+                        .collect(),
+                    tags: (0..n)
+                        .map(|_| tags[rng.random_range(0..tags.len())])
+                        .collect(),
+                    tree: DepTree::new(heads, labels).unwrap(),
+                }
+            })
+            .collect();
+        let parser = DependencyParser::train(&bank, &ParserConfig { epochs: 4, seed });
+        for _ in 0..40 {
+            let n = rng.random_range(1..10usize);
+            let input: Vec<String> = (0..n)
+                .map(|_| {
+                    if rng.random_bool(0.2) {
+                        unseen[rng.random_range(0..unseen.len())]
+                    } else {
+                        words[rng.random_range(0..words.len())]
+                    }
+                    .to_string()
+                })
+                .collect();
+            let input_tags: Vec<PennTag> = (0..n)
+                .map(|_| tags[rng.random_range(0..tags.len())])
+                .collect();
+            assert_eq!(
+                parser.parse(&input, &input_tags),
+                parser.parse_reference(&input, &input_tags),
+                "seed {seed}: key decode differs on {input:?} {input_tags:?}"
+            );
         }
     }
 }
