@@ -82,9 +82,8 @@ pub enum Command {
         threads: usize,
     },
     /// `serve --model <path> [--addr HOST:PORT] [--threads T]
-    /// [--quantized] [--queue-cap N] [--batch-max B]
-    /// [--batch-window-us U] [--no-monitoring] [--no-profiling]
-    /// [--drift-sample N]
+    /// [--quantized] [--queue-cap N] [--no-monitoring]
+    /// [--no-profiling] [--drift-sample N]
     /// [--keepalive-max-requests N] [--keepalive-idle-ms MS]
     /// [--slo-availability R] [--slo-latency-ms MS]`:
     /// run the long-lived HTTP serving layer over the model (see
@@ -98,12 +97,9 @@ pub enum Command {
         threads: usize,
         /// Decode with the i16 quantized kernels (`.rma` models only).
         quantized: bool,
-        /// Bounded request-queue capacity (admission control depth).
+        /// Most requests waiting for a permit before shedding
+        /// (admission control depth).
         queue_cap: usize,
-        /// Max requests drained into one micro-batch.
-        batch_max: usize,
-        /// Micro-batch fill window in microseconds.
-        batch_window_us: u64,
         /// Collect windowed metrics, SLO outcomes, slow-request
         /// exemplars and drift samples (`--no-monitoring` disables).
         monitoring: bool,
@@ -116,8 +112,8 @@ pub enum Command {
         drift_sample: u64,
         /// Requests served per keep-alive connection before close.
         keepalive_max_requests: u32,
-        /// Idle milliseconds before a parked keep-alive connection is
-        /// reaped.
+        /// Idle milliseconds before a keep-alive connection waiting
+        /// for its next request is closed.
         keepalive_idle_ms: u64,
         /// Availability SLO target in `(0.0, 1.0)` (good requests /
         /// total), reflected in `/admin/slo`.
@@ -595,24 +591,6 @@ pub fn parse_args(args: &[String]) -> Result<ParsedArgs, ArgsError> {
                 }
                 None => 128,
             };
-            let batch_max = match flags.get("batch-max") {
-                Some(v) => {
-                    let n: usize = v
-                        .parse()
-                        .map_err(|_| ArgsError::BadValue("batch-max", v.clone()))?;
-                    if n == 0 {
-                        return Err(ArgsError::BadValue("batch-max", v.clone()));
-                    }
-                    n
-                }
-                None => 8,
-            };
-            let batch_window_us = match flags.get("batch-window-us") {
-                Some(v) => v
-                    .parse()
-                    .map_err(|_| ArgsError::BadValue("batch-window-us", v.clone()))?,
-                None => 500,
-            };
             let drift_sample = match flags.get("drift-sample") {
                 Some(v) => v
                     .parse()
@@ -670,8 +648,6 @@ pub fn parse_args(args: &[String]) -> Result<ParsedArgs, ArgsError> {
                 threads: parse_threads(&flags)?,
                 quantized,
                 queue_cap,
-                batch_max,
-                batch_window_us,
                 monitoring: !no_monitoring,
                 profiling: !no_profiling,
                 drift_sample,
@@ -991,7 +967,6 @@ USAGE:
   recipe-mine explain --model <model.json> [--threads T] <phrase>...
   recipe-mine serve   --model <model.json|model.rma> [--addr HOST:PORT]
                       [--threads T] [--quantized] [--queue-cap N]
-                      [--batch-max B] [--batch-window-us U]
                       [--no-monitoring] [--no-profiling] [--drift-sample N]
                       [--keepalive-max-requests N] [--keepalive-idle-ms MS]
                       [--slo-availability R] [--slo-latency-ms MS]
@@ -1837,8 +1812,6 @@ mod tests {
                 threads: 0,
                 quantized: false,
                 queue_cap: 128,
-                batch_max: 8,
-                batch_window_us: 500,
                 monitoring: true,
                 profiling: true,
                 drift_sample: 8,
@@ -1859,10 +1832,6 @@ mod tests {
             "--quantized",
             "--queue-cap",
             "32",
-            "--batch-max",
-            "16",
-            "--batch-window-us",
-            "250",
             "--no-monitoring",
             "--no-profiling",
             "--drift-sample",
@@ -1885,8 +1854,6 @@ mod tests {
                 threads: 4,
                 quantized: true,
                 queue_cap: 32,
-                batch_max: 16,
-                batch_window_us: 250,
                 monitoring: false,
                 profiling: false,
                 drift_sample: 0,
@@ -1910,7 +1877,6 @@ mod tests {
         );
         for (flag, bad) in [
             ("queue-cap", "0"),
-            ("batch-max", "0"),
             ("queue-cap", "many"),
             ("keepalive-max-requests", "0"),
             ("keepalive-idle-ms", "soon"),

@@ -128,8 +128,6 @@ pub fn run(command: &Command) -> Result<String, CliError> {
             threads,
             quantized,
             queue_cap,
-            batch_max,
-            batch_window_us,
             monitoring,
             profiling,
             drift_sample,
@@ -145,8 +143,6 @@ pub fn run(command: &Command) -> Result<String, CliError> {
                 threads: *threads,
                 quantized: *quantized,
                 queue_cap: *queue_cap,
-                batch_max: *batch_max,
-                batch_window_us: *batch_window_us,
                 monitoring: *monitoring,
                 profiling: *profiling,
                 drift_sample: *drift_sample,
@@ -551,8 +547,6 @@ struct ServeOpts<'a> {
     threads: usize,
     quantized: bool,
     queue_cap: usize,
-    batch_max: usize,
-    batch_window_us: u64,
     monitoring: bool,
     profiling: bool,
     drift_sample: u64,
@@ -570,8 +564,6 @@ fn serve(opts: &ServeOpts<'_>) -> Result<String, CliError> {
         addr: opts.addr.to_string(),
         shards: opts.threads,
         queue_cap: opts.queue_cap,
-        batch_max: opts.batch_max,
-        batch_window_us: opts.batch_window_us,
         monitoring: opts.monitoring,
         profiling: opts.profiling,
         drift_sample: opts.drift_sample,

@@ -2,7 +2,7 @@
 //!
 //! Polls `GET /metrics`, `GET /admin/slo` and `GET /admin/profile`
 //! over one keep-alive connection (reconnecting transparently when the
-//! server's idle reaper drops it between polls), validates all three
+//! server's idle timeout closes it between polls), validates all three
 //! documents against their schemas, prints a one-line delta view per
 //! poll on stderr and optionally appends the raw snapshots as JSONL
 //! (`--out`). The final stdout JSON summarizes the run, so `--once`
@@ -24,7 +24,7 @@ const IO_TIMEOUT: Duration = Duration::from_secs(5);
 ///
 /// Responses are framed by `Content-Length` (the server sets it on
 /// every response), never by EOF, so the connection survives across
-/// polls and exercises the server's parking-lot reuse path.
+/// polls and exercises the server's keep-alive reuse path.
 struct HttpClient {
     addr: String,
     conn: Option<TcpStream>,
@@ -40,7 +40,7 @@ impl HttpClient {
 
     /// `GET path`, returning `(status, parsed JSON body)`.
     fn get(&mut self, path: &str) -> Result<(u16, Value), CliError> {
-        // A parked connection may have been idle-reaped or hit its
+        // A kept-alive connection may have been closed idle or hit its
         // request cap since the last poll; retry once on a fresh one.
         if let Some(conn) = self.conn.take() {
             if let Ok(got) = self.round_trip(conn, path) {

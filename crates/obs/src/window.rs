@@ -18,7 +18,7 @@
 //! many threads recorded — the determinism story behind the
 //! byte-identical `windows` block asserted in `tests/telemetry.rs`.
 
-use crate::metrics::{DEFAULT_COUNT_BOUNDS, DEFAULT_LATENCY_BOUNDS};
+use crate::metrics::DEFAULT_LATENCY_BOUNDS;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -459,11 +459,6 @@ impl WindowSet {
     /// Get or create a windowed latency histogram.
     pub fn latency_histogram(&self, name: &str) -> Arc<WindowedHistogram> {
         self.histogram(name, &DEFAULT_LATENCY_BOUNDS)
-    }
-
-    /// Get or create a windowed count histogram.
-    pub fn count_histogram(&self, name: &str) -> Arc<WindowedHistogram> {
-        self.histogram(name, &DEFAULT_COUNT_BOUNDS)
     }
 
     /// Snapshot every windowed metric, sorted by name.

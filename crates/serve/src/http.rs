@@ -3,12 +3,18 @@
 //! write a fixed-header response. Keep-alive follows HTTP/1.1 defaults
 //! (persistent unless `Connection: close`; HTTP/1.0 opts in with
 //! `Connection: keep-alive`), bounded by the server's per-connection
-//! request cap and idle timeout. No chunked encoding.
+//! request cap and idle timeout.
+//!
+//! Framing is strict (RFC 7230 §3.3.3), because bytes read past one
+//! request are the start of the connection's next one: a request that
+//! carries `Transfer-Encoding` (chunked bodies are not supported) or
+//! conflicting `Content-Length` values is rejected, and the server then
+//! closes the connection.
 //!
 //! Every read is bounded — headers are capped at [`MAX_HEAD_BYTES`]
 //! and bodies at [`MAX_BODY_BYTES`], read with `read_exact` into a
 //! pre-sized buffer — so a slow or malicious client can never grow
-//! memory or hold a worker on an unbounded read (lint RA408 enforces
+//! memory or hold a permit on an unbounded read (lint RA408 enforces
 //! the same discipline workspace-wide).
 
 use std::fmt;
@@ -40,6 +46,8 @@ pub enum HttpError {
     HeadersTooLarge,
     /// Declared body exceeded [`MAX_BODY_BYTES`].
     BodyTooLarge,
+    /// The request carries `Transfer-Encoding`, which is not supported.
+    TransferEncoding,
     /// The peer closed before sending anything.
     Closed,
     /// Transport error mid-request.
@@ -52,6 +60,7 @@ impl fmt::Display for HttpError {
             HttpError::BadRequest(why) => write!(f, "bad request: {why}"),
             HttpError::HeadersTooLarge => write!(f, "headers exceed {MAX_HEAD_BYTES} bytes"),
             HttpError::BodyTooLarge => write!(f, "body exceeds {MAX_BODY_BYTES} bytes"),
+            HttpError::TransferEncoding => write!(f, "transfer-encoding is not supported"),
             HttpError::Closed => write!(f, "connection closed"),
             HttpError::Io(e) => write!(f, "io: {e}"),
         }
@@ -113,17 +122,23 @@ pub fn read_request<R: Read>(reader: &mut BufReader<R>) -> Result<Request, HttpE
     }
     let version = parts.next().unwrap_or("HTTP/1.1");
     let mut keep_alive = !version.eq_ignore_ascii_case("HTTP/1.0");
-    let mut content_length = 0usize;
+    let mut content_length: Option<usize> = None;
     for line in lines {
         let Some((name, value)) = line.split_once(':') else {
             continue;
         };
         let name = name.trim();
         if name.eq_ignore_ascii_case("content-length") {
-            content_length = value
+            let n = value
                 .trim()
                 .parse()
                 .map_err(|_| bad("unparseable content-length"))?;
+            if content_length.is_some_and(|m| m != n) {
+                return Err(bad("conflicting content-length"));
+            }
+            content_length = Some(n);
+        } else if name.eq_ignore_ascii_case("transfer-encoding") {
+            return Err(HttpError::TransferEncoding);
         } else if name.eq_ignore_ascii_case("connection") {
             let value = value.trim();
             if value.eq_ignore_ascii_case("close") {
@@ -133,6 +148,7 @@ pub fn read_request<R: Read>(reader: &mut BufReader<R>) -> Result<Request, HttpE
             }
         }
     }
+    let content_length = content_length.unwrap_or(0);
     if content_length > MAX_BODY_BYTES {
         return Err(HttpError::BodyTooLarge);
     }
@@ -188,6 +204,7 @@ fn reason(status: u16) -> &'static str {
         405 => "Method Not Allowed",
         413 => "Payload Too Large",
         500 => "Internal Server Error",
+        501 => "Not Implemented",
         503 => "Service Unavailable",
         _ => "Unknown",
     }
@@ -284,6 +301,44 @@ mod tests {
         let mut reader = BufReader::with_capacity(5, raw);
         let req = read_request(&mut reader).expect("parse");
         assert_eq!(req.path, "/metrics");
+    }
+
+    #[test]
+    fn rejects_any_transfer_encoding() {
+        let raw =
+            b"POST /extract HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n4\r\nabcd\r\n0\r\n\r\n";
+        assert!(matches!(parse(raw), Err(HttpError::TransferEncoding)));
+        // Also alongside a Content-Length, which it would override.
+        let raw = b"POST /extract HTTP/1.1\r\nContent-Length: 4\r\ntransfer-encoding: identity\r\n\r\nabcd";
+        assert!(matches!(parse(raw), Err(HttpError::TransferEncoding)));
+        let mut out = Vec::new();
+        write_response(&mut out, &Response::json(501, "{}".to_string()), false).expect("write");
+        let text = String::from_utf8(out).expect("utf8");
+        assert!(text.starts_with("HTTP/1.1 501 Not Implemented\r\n"));
+    }
+
+    #[test]
+    fn rejects_conflicting_content_lengths() {
+        let raw = b"POST /extract HTTP/1.1\r\nContent-Length: 4\r\nContent-Length: 2\r\n\r\nabcd";
+        assert!(matches!(parse(raw), Err(HttpError::BadRequest(_))));
+        // Repeating the same value is not a conflict (RFC 7230 §3.3.2).
+        let raw = b"POST /extract HTTP/1.1\r\nContent-Length: 4\r\nContent-Length: 4\r\n\r\nabcd";
+        assert_eq!(parse(raw).expect("parse").body, b"abcd");
+    }
+
+    #[test]
+    fn pipelined_requests_parse_in_order_from_one_reader() {
+        let raw: &[u8] =
+            b"POST /extract HTTP/1.1\r\nContent-Length: 2\r\n\r\nabGET /healthz HTTP/1.1\r\n\r\n";
+        let mut reader = BufReader::new(raw);
+        let first = read_request(&mut reader).expect("first");
+        assert_eq!(
+            (first.path.as_str(), first.body.as_slice()),
+            ("/extract", &b"ab"[..])
+        );
+        let second = read_request(&mut reader).expect("second");
+        assert_eq!(second.path, "/healthz");
+        assert!(matches!(read_request(&mut reader), Err(HttpError::Closed)));
     }
 
     #[test]

@@ -1,35 +1,34 @@
 //! `recipe-serve`: the online serving layer — a std-only HTTP/1.1
 //! front end over the compiled [`Inference`] bundle.
 //!
-//! Architecture (DESIGN.md §15):
+//! Architecture (DESIGN.md §15). Every wait is a blocking call the
+//! kernel ends; nothing sleeps or polls on the idle or request path.
 //!
-//! - **One acceptor, N shard-per-core workers.** The acceptor thread
-//!   owns the listener and pushes accepted connections onto a bounded
-//!   queue; each worker thread drains the queue independently, so a
-//!   slow request only stalls its own shard.
-//! - **Request micro-batching.** A worker blocks for the first
-//!   connection of a batch, then keeps draining until it has
-//!   [`ServeConfig::batch_max`] connections or the
-//!   [`ServeConfig::batch_window_us`] window closes, and serves the
-//!   whole batch against one pinned model handle (amortizing the
-//!   `Arc` resolution and keeping phrase-cache shards warm).
-//! - **Backpressure.** When the queue is full the acceptor sheds the
-//!   connection immediately with `503 + Retry-After` instead of
-//!   queueing unbounded work.
+//! - **A blocking acceptor and one thread per connection.** std has no
+//!   readiness API (no `poll`/`epoll`), so waiting on many idle
+//!   keep-alive sockets without a timer takes one blocked thread per
+//!   socket. Each connection's thread keeps one `BufReader` for the
+//!   connection's whole life, so pipelined requests survive, and blocks
+//!   in it between requests under the keep-alive idle timeout. Open
+//!   connections are bounded by `MAX_CONNECTIONS`; past it the
+//!   acceptor sheds with `503`.
+//! - **Admission control.** A request takes one of
+//!   [`ServeConfig::shards`] permits from a counting gate before its
+//!   head is read, and holds it until its response is written. At most
+//!   [`ServeConfig::queue_cap`] requests wait for a permit; past that
+//!   the request is shed with `503 + Retry-After` instead of queueing
+//!   unbounded work.
 //! - **Atomic hot-swap.** The model lives behind `RwLock<Arc<…>>`;
-//!   workers pin one `Arc` per batch, so a concurrent swap
-//!   ([`Server::swap_model`] or `POST /admin/reload`) never corrupts
-//!   an in-flight response — old batches finish on the old model.
+//!   each request pins one `Arc`, so a concurrent swap
+//!   ([`Server::swap_model`] or `POST /admin/reload`) never corrupts an
+//!   in-flight response — old requests finish on the old model.
 //! - **Graceful drain.** `POST /admin/shutdown` (or
-//!   [`Server::request_shutdown`]) stops the acceptor, closes the
-//!   queue, and lets workers drain what was already admitted. There is
-//!   no signal handling — the workspace is std-only — so process
-//!   supervisors should use the endpoint.
-//! - **Keep-alive via a parking lot.** After a keep-alive response the
-//!   worker parks the connection back with the acceptor, whose poll
-//!   loop re-arms it as a fresh request (new id, new arrival stamp) the
-//!   moment bytes show up — bounded by a per-connection request cap and
-//!   an idle timeout, so a parked socket can never pin a worker.
+//!   [`Server::request_shutdown`]) wakes the blocked `accept` with a
+//!   loopback connect. The acceptor then closes the gate, waits for the
+//!   admitted requests to finish, wakes every reader blocked between
+//!   requests with `shutdown(Read)`, and joins the connection threads.
+//!   There is no signal handling — the workspace is std-only — so
+//!   process supervisors should use the endpoint.
 //! - **Observability.** Every request is minted an id at admission
 //!   (echoed as `X-Request-Id`) and stamped through its lifecycle
 //!   (queue wait → handle → write) on the injected [`Clock`];
@@ -52,31 +51,36 @@
 //! batch CLI, so served extractions are byte-identical to
 //! `recipe-mine extract`.
 
+mod admission;
 pub mod drift;
 pub mod http;
 pub mod metrics;
 pub mod model;
-pub mod queue;
 
 pub use drift::DriftMonitor;
 pub use metrics::ServeMetrics;
 pub use model::{entry_json, ModelError, ServeModel};
 
-use queue::{BoundedQueue, PushError};
+use admission::{Connections, Gate, Refused};
 use recipe_obs::profile::Profiler;
 use recipe_obs::slo::{BurnWindow, Objective, SloEngine};
 use recipe_obs::window::{Clock, MonotonicClock, TICKS_PER_SEC};
 use serde_json::json;
-use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{BufRead, BufReader};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-/// Per-connection read/write timeout: a stalled client cannot hold a
-/// worker longer than this.
+/// Per-connection read/write timeout within a request: a stalled client
+/// cannot hold a permit longer than this per read or write.
 const STREAM_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// Most connections open at once. Each holds a thread blocked in its
+/// socket, so this bounds the server's threads; the acceptor sheds past
+/// it with `503`.
+const MAX_CONNECTIONS: usize = 512;
 
 /// Bounded size of the slowest-request exemplar table.
 const SLOW_TABLE_CAP: usize = 32;
@@ -86,21 +90,19 @@ const SLOW_TABLE_CAP: usize = 32;
 pub struct ServeConfig {
     /// Bind address, e.g. `127.0.0.1:7878` (port 0 for ephemeral).
     pub addr: String,
-    /// Worker shard count; 0 means [`recipe_runtime::default_threads`].
+    /// Requests handled at once (the admission gate's permits); 0 means
+    /// [`recipe_runtime::default_threads`].
     pub shards: usize,
-    /// Bounded queue capacity (admission-control depth).
+    /// Most requests that may wait for a permit before the server sheds
+    /// with `503` (admission-control depth).
     pub queue_cap: usize,
-    /// Max connections drained into one micro-batch.
-    pub batch_max: usize,
-    /// Micro-batch fill window in microseconds.
-    pub batch_window_us: u64,
     /// `Retry-After` seconds advertised on shed responses.
     pub retry_after_secs: u32,
     /// Max requests served on one keep-alive connection before the
     /// server closes it (bounds how long one socket can recycle).
     pub keepalive_max_requests: u32,
-    /// How long a parked keep-alive connection may sit idle before the
-    /// acceptor drops it, milliseconds.
+    /// How long a keep-alive connection may sit idle waiting for its
+    /// next request before the server closes it, milliseconds.
     pub keepalive_idle_ms: u64,
     /// Collect windowed metrics, SLO outcomes, slow-request exemplars
     /// and drift samples. Off leaves only the cumulative counters (the
@@ -126,8 +128,6 @@ impl Default for ServeConfig {
             addr: "127.0.0.1:7878".to_string(),
             shards: 0,
             queue_cap: 128,
-            batch_max: 8,
-            batch_window_us: 500,
             retry_after_secs: 1,
             keepalive_max_requests: 64,
             keepalive_idle_ms: 5_000,
@@ -138,29 +138,6 @@ impl Default for ServeConfig {
             profiling: true,
         }
     }
-}
-
-/// One admitted request: the connection plus the id and arrival tick
-/// minted at admission (accept or keep-alive re-arm), so the latency
-/// histogram covers queue wait as well as decode.
-struct Conn {
-    stream: TcpStream,
-    /// Server-unique request id, echoed as `X-Request-Id`.
-    id: u64,
-    /// Admission tick on the shared [`Clock`].
-    arrived_ticks: u64,
-    /// Requests already served on this connection (keep-alive reuse).
-    reused: u32,
-}
-
-/// A keep-alive connection waiting with the acceptor for its next
-/// request (nonblocking while parked).
-struct Parked {
-    stream: TcpStream,
-    /// Requests already served on this connection.
-    reused: u32,
-    /// Tick the connection was parked at (idle-timeout origin).
-    parked_at: u64,
 }
 
 /// One `/admin/slow` exemplar: the lifecycle breakdown of a slow
@@ -176,15 +153,21 @@ struct SlowEntry {
     total_s: f64,
 }
 
-/// State shared by the acceptor, the workers and the [`Server`] handle.
+/// State shared by the acceptor, the connection threads and the
+/// [`Server`] handle.
 struct Shared {
     model: RwLock<Arc<ServeModel>>,
     /// (path, quantized) the current model was loaded from; the
     /// default source for `POST /admin/reload`.
     model_source: Mutex<(String, bool)>,
     metrics: ServeMetrics,
-    queue: BoundedQueue<Conn>,
+    /// Request admission: one permit per shard, `queue_cap` waiters.
+    gate: Gate,
+    /// Open connections, bounded at [`MAX_CONNECTIONS`].
+    conns: Connections,
     shutdown: AtomicBool,
+    /// The listener's address; drain connects to it to wake `accept`.
+    addr: SocketAddr,
     /// Provenance is a process-global store, so `/explain` requests
     /// (and drift sampling) must serialize across shards.
     explain_lock: Mutex<()>,
@@ -192,8 +175,6 @@ struct Shared {
     clock: Arc<dyn Clock>,
     /// Request-id mint (ids start at 1).
     next_request_id: AtomicU64,
-    /// Keep-alive connections waiting for their next request.
-    parking: Mutex<Vec<Parked>>,
     /// Burn-rate engine over availability and latency objectives.
     slo: SloEngine,
     idx_availability: usize,
@@ -212,26 +193,22 @@ struct Shared {
     /// The latency-SLO threshold requests are scored against, seconds.
     latency_slo_s: f64,
     keepalive_max_requests: u32,
-    keepalive_idle_ticks: u64,
+    keepalive_idle: Duration,
     drift_sample: u64,
     shards: usize,
-    batch_max: usize,
-    batch_window: Duration,
     retry_after_secs: u32,
 }
 
 /// A running server: handle for swap/shutdown/join.
 pub struct Server {
     shared: Arc<Shared>,
-    addr: SocketAddr,
-    acceptor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    acceptor: JoinHandle<()>,
 }
 
 impl Server {
-    /// Bind, spawn the acceptor and worker shards, and return
-    /// immediately. `model_source` records where `model` came from so
-    /// `POST /admin/reload` without a body can re-read it.
+    /// Bind, spawn the acceptor, and return immediately. `model_source`
+    /// records where `model` came from so `POST /admin/reload` without
+    /// a body can re-read it.
     pub fn launch(
         cfg: &ServeConfig,
         model: ServeModel,
@@ -239,7 +216,6 @@ impl Server {
     ) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let shards = if cfg.shards == 0 {
             recipe_runtime::default_threads()
         } else {
@@ -280,12 +256,13 @@ impl Server {
             model: RwLock::new(Arc::new(model)),
             model_source: Mutex::new(model_source),
             metrics: ServeMetrics::new(Arc::clone(&clock)),
-            queue: BoundedQueue::new(cfg.queue_cap),
+            gate: Gate::new(shards, cfg.queue_cap),
+            conns: Connections::new(MAX_CONNECTIONS),
             shutdown: AtomicBool::new(false),
+            addr,
             explain_lock: Mutex::new(()),
             clock,
             next_request_id: AtomicU64::new(0),
-            parking: Mutex::new(Vec::new()),
             slo,
             idx_availability,
             idx_latency,
@@ -297,34 +274,24 @@ impl Server {
             profiling: cfg.profiling,
             latency_slo_s,
             keepalive_max_requests: cfg.keepalive_max_requests.max(1),
-            keepalive_idle_ticks: cfg.keepalive_idle_ms.saturating_mul(TICKS_PER_SEC / 1_000),
+            // A zero read timeout is an error, not "no wait".
+            keepalive_idle: Duration::from_millis(cfg.keepalive_idle_ms.max(1)),
             drift_sample: cfg.drift_sample,
             shards,
-            batch_max: cfg.batch_max.max(1),
-            batch_window: Duration::from_micros(cfg.batch_window_us),
             retry_after_secs: cfg.retry_after_secs,
         });
-        let workers = (0..shards)
-            .map(|shard| {
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || run_worker(&shared, shard))
-            })
-            .collect();
         let acceptor = {
             let shared = Arc::clone(&shared);
-            std::thread::spawn(move || run_acceptor(&shared, &listener))
+            std::thread::Builder::new()
+                .name("serve-acceptor".to_string())
+                .spawn(move || run_acceptor(&shared, &listener))?
         };
-        Ok(Server {
-            shared,
-            addr,
-            acceptor: Some(acceptor),
-            workers,
-        })
+        Ok(Server { shared, acceptor })
     }
 
     /// The bound address (resolves port 0 to the ephemeral port).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.shared.addr
     }
 
     /// The serving metrics registry (merged into `/metrics`).
@@ -338,21 +305,21 @@ impl Server {
         self.shared.profiler.snapshot()
     }
 
-    /// Number of worker shards actually spawned (after resolving 0 to
-    /// the runtime's default thread count).
+    /// Number of requests handled at once (after resolving 0 to the
+    /// runtime's default thread count).
     pub fn shards(&self) -> usize {
         self.shared.shards
     }
 
-    /// Atomically install a new model. In-flight batches finish on the
-    /// model they pinned; later batches see the new one.
+    /// Atomically install a new model. In-flight requests finish on the
+    /// model they pinned; later requests see the new one.
     pub fn swap_model(&self, model: ServeModel) {
         install_model(&self.shared, model);
     }
 
     /// Ask the server to stop accepting and drain admitted work.
     pub fn request_shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        begin_shutdown(&self.shared);
     }
 
     /// True once shutdown has been requested.
@@ -360,15 +327,10 @@ impl Server {
         self.shared.shutdown.load(Ordering::SeqCst)
     }
 
-    /// Block until the acceptor and every worker shard have exited
+    /// Block until the acceptor and every connection thread have exited
     /// (i.e. shutdown was requested and admitted work has drained).
-    pub fn join(mut self) {
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
+    pub fn join(self) {
+        let _ = self.acceptor.join();
     }
 }
 
@@ -396,170 +358,184 @@ fn mint_id(shared: &Shared) -> u64 {
     shared.next_request_id.fetch_add(1, Ordering::SeqCst) + 1
 }
 
-/// Acceptor loop: accept, admit or shed, re-arm parked keep-alive
-/// connections, until shutdown. Closing the queue on exit is what lets
-/// the workers drain and stop.
-fn run_acceptor(shared: &Shared, listener: &TcpListener) {
-    recipe_obs::event::set_thread_name("serve-acceptor");
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        drain_parking(shared);
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let _ = stream.set_nonblocking(false);
-                shared.metrics.accepted.inc();
-                let conn = Conn {
-                    stream,
-                    id: mint_id(shared),
-                    arrived_ticks: shared.clock.now_ticks(),
-                    reused: 0,
-                };
-                match shared.queue.try_push(conn) {
-                    Ok(()) => {}
-                    Err(PushError::Full(conn)) => shed(shared, conn.stream),
-                    Err(PushError::Closed(_)) => break,
-                }
-                shared.metrics.queue_depth.set(shared.queue.depth() as f64);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(1)),
-        }
+/// Set the shutdown flag and wake the acceptor out of its blocking
+/// `accept` with a loopback connect to the listener.
+fn begin_shutdown(shared: &Shared) {
+    shared.shutdown.store(true, Ordering::SeqCst);
+    let mut target = shared.addr;
+    if target.ip().is_unspecified() {
+        target.set_ip(if target.is_ipv4() {
+            Ipv4Addr::LOCALHOST.into()
+        } else {
+            Ipv6Addr::LOCALHOST.into()
+        });
     }
-    shared.queue.close();
+    // Fails fast once the listener is gone, i.e. the acceptor exited.
+    let _ = TcpStream::connect_timeout(&target, STREAM_TIMEOUT);
 }
 
-/// Sweep the keep-alive parking lot: connections with bytes waiting are
-/// re-armed as fresh requests (new id, new arrival stamp — the reuse
-/// counter is the only memory of the previous request); closed or
-/// errored peers are dropped, and idle connections past the timeout are
-/// dropped too. Nonblocking throughout — one sweep costs a `peek` per
-/// parked socket.
-fn drain_parking(shared: &Shared) {
-    let mut parked = {
-        let mut lot = shared.parking.lock().unwrap_or_else(|p| p.into_inner());
-        if lot.is_empty() {
+/// Acceptor loop: accept and hand each connection to a thread of its
+/// own, until shutdown. Then drain, and join every connection thread.
+fn run_acceptor(shared: &Arc<Shared>, listener: &TcpListener) {
+    recipe_obs::event::set_thread_name("serve-acceptor");
+    let mut threads: Vec<JoinHandle<()>> = Vec::new();
+    loop {
+        let accepted = listener.accept();
+        if shared.shutdown.load(Ordering::SeqCst) {
+            break;
+        }
+        let Ok((stream, _peer)) = accepted else {
+            // Back off so a persistent error (such as `EMFILE`) does
+            // not spin; this is off the idle and request paths.
+            std::thread::sleep(Duration::from_millis(10));
+            continue;
+        };
+        shared.metrics.accepted.inc();
+        let accepted_ticks = shared.clock.now_ticks();
+        let (done, live): (Vec<_>, Vec<_>) = threads.drain(..).partition(|t| t.is_finished());
+        threads = live;
+        for t in done {
+            let _ = t.join();
+        }
+        let Some(conn) = stream.try_clone().ok().and_then(|c| shared.conns.open(c)) else {
+            shed(shared, stream);
+            continue;
+        };
+        let thread = {
+            let shared = Arc::clone(shared);
+            std::thread::Builder::new()
+                .name("serve-conn".to_string())
+                .spawn(move || run_connection(&shared, stream, conn, accepted_ticks))
+        };
+        match thread {
+            Ok(t) => threads.push(t),
+            Err(_) => {
+                if let Some(clone) = shared.conns.remove(conn) {
+                    shed(shared, clone);
+                }
+            }
+        }
+    }
+    // Serve what was admitted, then wake the readers blocked between
+    // requests; none can be mid-request once the gate has drained.
+    shared.gate.close_and_wait();
+    shared.conns.wake_readers();
+    for t in threads {
+        let _ = t.join();
+    }
+}
+
+/// Removes a connection's table entry when its thread exits, however
+/// it exits: the entry's socket clone would otherwise hold the
+/// connection open.
+struct Registered<'a> {
+    conns: &'a Connections,
+    id: usize,
+}
+
+impl Drop for Registered<'_> {
+    fn drop(&mut self) {
+        self.conns.remove(self.id);
+    }
+}
+
+/// One connection's thread: serve its requests in order until the
+/// client closes it, it idles past the keep-alive timeout, it reaches
+/// the per-connection request cap, a request fails to frame, or drain
+/// begins. The first request's queue wait runs from the accept, each
+/// later one's from its first byte.
+fn run_connection(shared: &Shared, stream: TcpStream, conn: usize, accepted_ticks: u64) {
+    recipe_obs::event::set_thread_name("serve-conn");
+    let _registered = Registered {
+        conns: &shared.conns,
+        id: conn,
+    };
+    let _ = stream.set_write_timeout(Some(STREAM_TIMEOUT));
+    // Each response is written whole in one call, so Nagle's algorithm
+    // could only hold back the reply to a pipelined request.
+    let _ = stream.set_nodelay(true);
+    let mut reader = BufReader::new(stream);
+    let mut arrived_ticks = accepted_ticks;
+    let mut served = 0u32;
+    loop {
+        // Block for the first byte of the next request, unless it
+        // already arrived behind the previous one. The kernel ends the
+        // wait: data, end-of-stream, the idle timeout, or drain's
+        // `shutdown(Read)`.
+        if reader.buffer().is_empty() {
+            let _ = reader
+                .get_ref()
+                .set_read_timeout(Some(shared.keepalive_idle));
+            if !matches!(reader.fill_buf(), Ok(buf) if !buf.is_empty()) {
+                return;
+            }
+        }
+        if served > 0 {
+            arrived_ticks = shared.clock.now_ticks();
+            shared.metrics.keepalive_reuse.inc();
+        }
+        let id = mint_id(shared);
+        let _permit = match shared.gate.acquire() {
+            Ok(permit) => permit,
+            Err(Refused::Full) => {
+                shed(shared, reader.into_inner());
+                return;
+            }
+            Err(Refused::Closed) => return,
+        };
+        let _ = reader.get_ref().set_read_timeout(Some(STREAM_TIMEOUT));
+        shared.metrics.begin_request();
+        let keep = serve_request(shared, &mut reader, id, arrived_ticks, served);
+        shared.metrics.end_request();
+        if !keep {
             return;
         }
-        std::mem::take(&mut *lot)
-    };
-    let now = shared.clock.now_ticks();
-    let mut still_idle = Vec::with_capacity(parked.len());
-    for p in parked.drain(..) {
-        let mut probe = [0u8; 1];
-        match p.stream.peek(&mut probe) {
-            Ok(0) => {} // peer closed: drop
-            Ok(_) => {
-                let _ = p.stream.set_nonblocking(false);
-                shared.metrics.keepalive_reuse.inc();
-                let conn = Conn {
-                    stream: p.stream,
-                    id: mint_id(shared),
-                    arrived_ticks: now,
-                    reused: p.reused,
-                };
-                match shared.queue.try_push(conn) {
-                    Ok(()) => {}
-                    Err(PushError::Full(conn)) => shed(shared, conn.stream),
-                    Err(PushError::Closed(_)) => {}
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                if now.saturating_sub(p.parked_at) <= shared.keepalive_idle_ticks {
-                    still_idle.push(p);
-                } // else: idle timeout — drop
-            }
-            Err(_) => {} // transport error: drop
-        }
-    }
-    if !still_idle.is_empty() {
-        let mut lot = shared.parking.lock().unwrap_or_else(|p| p.into_inner());
-        lot.extend(still_idle);
+        served += 1;
     }
 }
 
-/// Park a keep-alive connection back with the acceptor after a
-/// response (nonblocking while parked so the sweep never stalls).
-fn park_connection(shared: &Shared, stream: TcpStream, reused: u32) {
-    if stream.set_nonblocking(true).is_err() {
-        return;
-    }
-    let parked = Parked {
-        stream,
-        reused,
-        parked_at: shared.clock.now_ticks(),
-    };
-    let mut lot = shared.parking.lock().unwrap_or_else(|p| p.into_inner());
-    lot.push(parked);
-}
-
-/// Worker shard loop: drain micro-batches and serve them against one
-/// pinned model handle per batch.
-fn run_worker(shared: &Shared, shard: usize) {
-    recipe_obs::event::set_thread_name(&format!("serve-worker-{shard}"));
-    while let Some(first) = shared.queue.pop_blocking() {
-        let mut batch = vec![first];
-        let deadline = Instant::now() + shared.batch_window;
-        while batch.len() < shared.batch_max {
-            match shared.queue.pop_until(deadline) {
-                Some(conn) => batch.push(conn),
-                None => break,
-            }
-        }
-        shared.metrics.queue_depth.set(shared.queue.depth() as f64);
-        shared.metrics.batch_size.record(batch.len() as f64);
-        if shared.monitoring {
-            shared.metrics.w_batch.record(batch.len() as f64);
-        }
-        // Pin the model once per batch: a concurrent hot-swap replaces
-        // the slot, not this Arc, so every response in the batch is
-        // computed against one consistent model.
-        let model = Arc::clone(&shared.model.read().unwrap_or_else(|p| p.into_inner()));
-        for conn in batch {
-            shared.metrics.begin_request();
-            serve_connection(shared, &model, conn);
-            shared.metrics.end_request();
-        }
-    }
-}
-
-/// Read one request off the connection, dispatch it, write the
-/// response, and either park the connection for keep-alive reuse or
-/// close it. Records the request's lifecycle (latency histograms,
-/// windowed mirrors, SLO outcomes, slow-table exemplar) from the tick
-/// stamps minted on the shared clock. Transport errors are dropped —
-/// the peer is gone.
-fn serve_connection(shared: &Shared, model: &ServeModel, conn: Conn) {
-    let Conn {
-        stream,
-        id,
-        arrived_ticks,
-        reused,
-    } = conn;
-    let dequeued_ticks = shared.clock.now_ticks();
-    let _ = stream.set_read_timeout(Some(STREAM_TIMEOUT));
-    let _ = stream.set_write_timeout(Some(STREAM_TIMEOUT));
-    let mut reader = BufReader::new(stream);
-    let (mut resp, client_keep_alive, path) = match http::read_request(&mut reader) {
+/// Read one request off the connection, dispatch it against a pinned
+/// model, and write the response; true when the connection stays open
+/// for another request. Records the request's lifecycle (latency
+/// histograms, windowed mirrors, SLO outcomes, slow-table exemplar)
+/// from the tick stamps minted on the shared clock. Transport errors
+/// close the connection — the peer is gone.
+fn serve_request(
+    shared: &Shared,
+    reader: &mut BufReader<TcpStream>,
+    id: u64,
+    arrived_ticks: u64,
+    served: u32,
+) -> bool {
+    let admitted_ticks = shared.clock.now_ticks();
+    // Pin the model once per request: a concurrent hot-swap replaces
+    // the slot, not this Arc, so the response is computed against one
+    // consistent model.
+    let model = Arc::clone(&shared.model.read().unwrap_or_else(|p| p.into_inner()));
+    let (mut resp, client_keep_alive, path) = match http::read_request(reader) {
         Ok(req) => {
             let _span = recipe_obs::span!("serve.handle");
-            let resp = handle_request(shared, model, &req);
+            let resp = handle_request(shared, &model, &req);
             (resp, req.keep_alive, req.path)
         }
-        Err(http::HttpError::Closed) => return,
+        Err(http::HttpError::Closed) => return false,
+        // Framing is lost after an error, so the connection closes.
         Err(e) => (error_response(&e), false, String::new()),
     };
     resp.request_id = Some(id);
     // Decide reuse before writing: the Connection header must match
     // what the server will actually do with the socket.
-    let keep = client_keep_alive && reused + 1 < shared.keepalive_max_requests;
+    let keep = client_keep_alive
+        && served + 1 < shared.keepalive_max_requests
+        && !shared.shutdown.load(Ordering::SeqCst);
     let handled_ticks = shared.clock.now_ticks();
-    let mut stream = reader.into_inner();
     let wrote = {
         let _span = recipe_obs::span!("serve.write");
-        http::write_response(&mut stream, &resp, keep).is_ok()
+        http::write_response(reader.get_mut(), &resp, keep).is_ok()
     };
     let done_ticks = shared.clock.now_ticks();
+    // Kept only for readers of its mean: requests are not batched.
+    shared.metrics.batch_size.record(1.0);
     // Resolved before `path` moves into the slow-table exemplar below.
     let endpoint = profile_endpoint(&path);
     let total_s = done_ticks.saturating_sub(arrived_ticks) as f64 / TICKS_PER_SEC as f64;
@@ -582,9 +558,9 @@ fn serve_connection(shared: &Shared, model: &ServeModel, conn: Conn) {
                 id,
                 path,
                 status: resp.status,
-                queue_wait_s: dequeued_ticks.saturating_sub(arrived_ticks) as f64
+                queue_wait_s: admitted_ticks.saturating_sub(arrived_ticks) as f64
                     / TICKS_PER_SEC as f64,
-                handle_s: handled_ticks.saturating_sub(dequeued_ticks) as f64
+                handle_s: handled_ticks.saturating_sub(admitted_ticks) as f64
                     / TICKS_PER_SEC as f64,
                 write_s: done_ticks.saturating_sub(handled_ticks) as f64 / TICKS_PER_SEC as f64,
                 total_s,
@@ -595,8 +571,8 @@ fn serve_connection(shared: &Shared, model: &ServeModel, conn: Conn) {
         // Endpoint names are normalized (bounded cardinality even under
         // 404 scans), and the stage split mirrors the `/admin/slow`
         // lifecycle breakdown so the two views cross-check.
-        let wait = dequeued_ticks.saturating_sub(arrived_ticks);
-        let handle = handled_ticks.saturating_sub(dequeued_ticks);
+        let wait = admitted_ticks.saturating_sub(arrived_ticks);
+        let handle = handled_ticks.saturating_sub(admitted_ticks);
         let write = done_ticks.saturating_sub(handled_ticks);
         shared
             .profiler
@@ -606,9 +582,7 @@ fn serve_connection(shared: &Shared, model: &ServeModel, conn: Conn) {
             .record(&["serve", endpoint, "handle"], handle);
         shared.profiler.record(&["serve", endpoint, "write"], write);
     }
-    if wrote && keep {
-        park_connection(shared, stream, reused + 1);
-    }
+    wrote && keep
 }
 
 /// Normalize a request path to a bounded endpoint label for the
@@ -673,6 +647,7 @@ fn error_response(e: &http::HttpError) -> http::Response {
     let status = match e {
         http::HttpError::BadRequest(_) => 400,
         http::HttpError::HeadersTooLarge | http::HttpError::BodyTooLarge => 413,
+        http::HttpError::TransferEncoding => 501,
         http::HttpError::Closed | http::HttpError::Io(_) => 400,
     };
     http::Response::json(status, render(&json!({ "error": e.to_string() })))
@@ -831,7 +806,7 @@ fn handle_healthz(shared: &Shared, model: &ServeModel) -> http::Response {
         "status": "ok",
         "model": model.kind(),
         "shards": shared.shards,
-        "queue_depth": shared.queue.depth(),
+        "queue_depth": shared.gate.waiting(),
         "slo": shared.slo.level().as_str(),
         "monitoring": shared.monitoring,
         "profiling": shared.profiling,
@@ -844,7 +819,7 @@ fn handle_healthz(shared: &Shared, model: &ServeModel) -> http::Response {
 /// `recipe-mine stats`, extended with the sliding-window `windows`
 /// block and the prediction-drift summary.
 fn handle_metrics(shared: &Shared, model: &ServeModel) -> http::Response {
-    shared.metrics.queue_depth.set(shared.queue.depth() as f64);
+    shared.metrics.queue_depth.set(shared.gate.waiting() as f64);
     let mut t = recipe_obs::Telemetry::gather(&[
         shared.metrics.registry(),
         model.inference().metrics_registry(),
@@ -967,11 +942,10 @@ fn handle_reload(shared: &Shared, body: &[u8]) -> http::Response {
     }
 }
 
-/// `POST /admin/shutdown`: begin graceful drain. The acceptor notices
-/// within its poll tick, closes the queue, and workers exit once
-/// admitted work is drained.
+/// `POST /admin/shutdown`: begin graceful drain. The woken acceptor
+/// drains the gate, wakes idle connections, and exits.
 fn handle_shutdown(shared: &Shared) -> http::Response {
-    shared.shutdown.store(true, Ordering::SeqCst);
+    begin_shutdown(shared);
     http::Response::json(200, render(&json!({ "shutting_down": true })))
 }
 
@@ -984,7 +958,6 @@ mod tests {
         let cfg = ServeConfig::default();
         assert_eq!(cfg.shards, 0);
         assert!(cfg.queue_cap >= 1);
-        assert!(cfg.batch_max >= 1);
         assert!(cfg.retry_after_secs >= 1);
     }
 
@@ -994,6 +967,8 @@ mod tests {
         assert_eq!(resp.status, 413);
         let resp = error_response(&http::HttpError::BadRequest("x".to_string()));
         assert_eq!(resp.status, 400);
+        let resp = error_response(&http::HttpError::TransferEncoding);
+        assert_eq!(resp.status, 501);
     }
 
     #[test]

@@ -34,21 +34,23 @@ impl EndpointCounters {
 pub struct ServeMetrics {
     registry: Registry,
     windows: WindowSet,
-    /// Requests queued but not yet claimed by a worker.
+    /// Requests waiting for an admission permit.
     pub queue_depth: Arc<Gauge>,
-    /// Requests claimed by a worker and not yet responded to.
+    /// Requests holding a permit and not yet responded to.
     pub in_flight: Arc<Gauge>,
     in_flight_now: AtomicU64,
-    /// Requests shed with `503 + Retry-After` (queue full).
+    /// Requests shed with `503 + Retry-After` (wait list full), plus
+    /// connections shed at the open-connection bound.
     pub shed: Arc<Counter>,
     /// Successful model hot-swaps.
     pub hot_swaps: Arc<Counter>,
     /// Connections accepted by the acceptor.
     pub accepted: Arc<Counter>,
-    /// Requests re-armed off a parked keep-alive connection (the
+    /// Requests after the first on a keep-alive connection (the
     /// accept was amortized across them).
     pub keepalive_reuse: Arc<Counter>,
-    /// Micro-batch sizes drained per worker wakeup.
+    /// Requests handled per pass: always 1, since requests are not
+    /// batched. Kept for readers that report its mean.
     pub batch_size: Arc<Histogram>,
     /// Queue-wait + decode + write latency per request, seconds.
     pub latency: Arc<Histogram>,
@@ -60,8 +62,6 @@ pub struct ServeMetrics {
     pub w_shed: Arc<WindowedCounter>,
     /// Windowed request latency (seconds).
     pub w_latency: Arc<WindowedHistogram>,
-    /// Windowed micro-batch sizes.
-    pub w_batch: Arc<WindowedHistogram>,
     extract: EndpointCounters,
     explain: EndpointCounters,
     healthz: EndpointCounters,
@@ -90,7 +90,6 @@ impl ServeMetrics {
             w_errors: windows.counter("serve.errors"),
             w_shed: windows.counter("serve.shed"),
             w_latency: windows.latency_histogram("serve.request.latency_s"),
-            w_batch: windows.count_histogram("serve.batch.size"),
             extract: EndpointCounters::new(&registry, "extract"),
             explain: EndpointCounters::new(&registry, "explain"),
             healthz: EndpointCounters::new(&registry, "healthz"),
@@ -125,7 +124,7 @@ impl ServeMetrics {
         }
     }
 
-    /// Mark one request claimed by a worker.
+    /// Mark one request admitted to handling.
     pub fn begin_request(&self) {
         let now = self.in_flight_now.fetch_add(1, Ordering::SeqCst) + 1;
         self.in_flight.set(now as f64);

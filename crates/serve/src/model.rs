@@ -4,9 +4,10 @@
 //! sniffing the file's magic bytes.
 //!
 //! This is the canonical load path shared by the CLI (`extract`,
-//! `serve`) and the server workers, so a phrase extracted over HTTP is
-//! byte-identical to the same phrase extracted by the batch CLI: both
-//! go through [`ServeModel::extract_ingredient`] and [`entry_json`].
+//! `serve`) and the server's connection threads, so a phrase extracted
+//! over HTTP is byte-identical to the same phrase extracted by the
+//! batch CLI: both go through [`ServeModel::extract_ingredient`] and
+//! [`entry_json`].
 
 use recipe_core::pipeline::TrainedPipeline;
 use recipe_core::{ArtifactPipeline, Inference, IngredientEntry};

@@ -53,6 +53,15 @@ fn model_bytes(pipeline: &TrainedPipeline) -> Arc<[u8]> {
         .into()
 }
 
+/// Serialize without a drift reference: a server over it samples no
+/// `/extract` traffic, so tests of the connection loop leave the
+/// process-global provenance store, which the drift tests read, alone.
+fn plain_model_bytes(pipeline: &TrainedPipeline) -> Arc<[u8]> {
+    artifact_bytes_with_reference(pipeline, None)
+        .expect("serialize artifact")
+        .into()
+}
+
 fn rma_model(bytes: &Arc<[u8]>) -> ServeModel {
     ServeModel::Rma(ArtifactPipeline::from_bytes(Arc::clone(bytes), false).expect("load artifact"))
 }
@@ -240,8 +249,8 @@ fn queue_full_sheds_with_503_and_retry_after() {
 
     let mut held = TcpStream::connect(addr).expect("connect held");
     held.write_all(b"POST /extr").expect("partial header");
-    // Let the worker pop the held connection and block reading it, so
-    // its micro-batch window is closed before the flood arrives.
+    // Let the held connection take the only permit and block reading
+    // the rest of its head before the flood arrives.
     std::thread::sleep(Duration::from_millis(300));
 
     let body = serde_json::to_string(&json!({ "phrases": ["1 cup sugar"] })).expect("body");
@@ -258,8 +267,8 @@ fn queue_full_sheds_with_503_and_retry_after() {
                 .as_bytes(),
             )
             .unwrap_or_else(|e| panic!("send flood request {i}: {e}"));
-            // Give the acceptor time to admit or shed this connection
-            // before the next one arrives, keeping the order exact.
+            // Give the server time to admit or shed this request before
+            // the next one arrives, keeping the order exact.
             std::thread::sleep(Duration::from_millis(50));
             s
         })
@@ -343,7 +352,7 @@ fn hot_swap_mid_traffic_keeps_responses_byte_identical() {
         })
         .collect();
 
-    // Swap repeatedly while the clients hammer: in-flight batches pin
+    // Swap repeatedly while the clients hammer: in-flight requests pin
     // their Arc, so no response may be dropped or torn.
     for _ in 0..10 {
         server.swap_model(rma_model(&bytes));
@@ -434,8 +443,8 @@ fn keep_alive_reuses_connection_with_fresh_request_ids() {
         );
         ids.push(request_id(&head));
     }
-    // Every round got a fresh id, and the later rounds were re-armed
-    // off the parking lot rather than re-accepted.
+    // Every round got a fresh id, and the later rounds reused the
+    // connection rather than being re-accepted.
     ids.sort_unstable();
     ids.dedup();
     assert_eq!(ids.len(), 3, "request ids must be unique per request");
@@ -637,7 +646,164 @@ fn admin_shutdown_drains_and_joins() {
     assert_eq!(status, 200);
     assert!(body.contains("shutting_down"), "{body:?}");
     assert!(server.shutdown_requested());
-    // Drain must complete without external help (acceptor poll tick
-    // notices the flag, closes the queue, workers exit).
+    // Drain must complete without external help (the shutdown wakes
+    // the acceptor, which closes the gate and joins the connections).
     server.join();
+}
+
+#[test]
+fn pipelined_requests_on_one_write_get_ordered_responses() {
+    let corpus = corpus();
+    let pipeline = train(&corpus);
+    let bytes = plain_model_bytes(&pipeline);
+    let reference = rma_model(&bytes);
+    let server = launch(&ephemeral(1), rma_model(&bytes));
+    let addr = server.local_addr();
+
+    let phrases = ["1 cup sugar", "2 tbsp butter"];
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("timeout");
+    let mut both = Vec::new();
+    for phrase in phrases {
+        let body = serde_json::to_string(&json!({ "phrases": [phrase] })).expect("body");
+        both.extend_from_slice(
+            format!(
+                "POST /extract HTTP/1.1\r\nHost: pipe\r\nContent-Length: {}\r\n\r\n{body}",
+                body.len()
+            )
+            .as_bytes(),
+        );
+    }
+    // One write: the second request arrives behind the first.
+    stream.write_all(&both).expect("send both requests");
+    let mut ids = Vec::new();
+    for phrase in phrases {
+        let (status, head, got) = read_response(&mut stream);
+        assert_eq!(status, 200, "{phrase:?}: {head:?}");
+        assert_eq!(
+            got,
+            expected_extract_body(&reference, phrase),
+            "responses must come back in request order"
+        );
+        ids.push(request_id(&head));
+    }
+    assert_ne!(ids[0], ids[1], "each pipelined request gets its own id");
+
+    server.request_shutdown();
+    server.join();
+}
+
+#[test]
+fn chunked_request_gets_one_501_and_the_connection_closes() {
+    let corpus = corpus();
+    let pipeline = train(&corpus);
+    let bytes = plain_model_bytes(&pipeline);
+    let server = launch(&ephemeral(1), rma_model(&bytes));
+    let addr = server.local_addr();
+
+    let body = serde_json::to_string(&json!({ "phrases": ["1 cup milk"] })).expect("body");
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("timeout");
+    // Keep-alive, so only the rejection itself may close the connection.
+    stream
+        .write_all(
+            format!(
+                "POST /extract HTTP/1.1\r\nHost: chunk\r\nTransfer-Encoding: chunked\r\n\r\n\
+                 {:x}\r\n{body}\r\n0\r\n\r\n",
+                body.len()
+            )
+            .as_bytes(),
+        )
+        .expect("send chunked request");
+    let (status, head, _) = read_response(&mut stream);
+    assert_eq!(status, 501, "{head:?}");
+    assert!(head.contains("Connection: close"), "{head:?}");
+    // Nothing else: the chunk bytes must not be parsed as a request.
+    let mut rest = Vec::new();
+    stream.read_to_end(&mut rest).expect("read to close");
+    assert!(
+        rest.is_empty(),
+        "extra bytes after the 501: {:?}",
+        String::from_utf8_lossy(&rest)
+    );
+
+    server.request_shutdown();
+    server.join();
+}
+
+#[test]
+fn more_keep_alive_connections_than_shards_take_turns() {
+    let corpus = corpus();
+    let pipeline = train(&corpus);
+    let bytes = plain_model_bytes(&pipeline);
+    let server = launch(&ephemeral(1), rma_model(&bytes));
+    let addr = server.local_addr();
+
+    let body = serde_json::to_string(&json!({ "phrases": ["1 cup flour"] })).expect("body");
+    let mut streams: Vec<TcpStream> = (0..3)
+        .map(|_| {
+            let s = TcpStream::connect(addr).expect("connect");
+            s.set_read_timeout(Some(Duration::from_secs(30)))
+                .expect("timeout");
+            s
+        })
+        .collect();
+    // Each connection idles between its turns: an idle connection must
+    // not keep the one permit from the others.
+    for round in 0..5 {
+        for (i, stream) in streams.iter_mut().enumerate() {
+            send_keep_alive(stream, "POST", "/extract", &body);
+            let (status, head, _) = read_response(stream);
+            assert_eq!(status, 200, "round {round}, connection {i}");
+            assert!(head.contains("Connection: keep-alive"), "{head:?}");
+        }
+    }
+    assert_eq!(server.metrics().accepted.get(), 3);
+
+    server.request_shutdown();
+    server.join();
+}
+
+#[test]
+fn drain_does_not_wait_out_idle_keep_alive_connections() {
+    let corpus = corpus();
+    let pipeline = train(&corpus);
+    let bytes = plain_model_bytes(&pipeline);
+    let cfg = ServeConfig {
+        keepalive_idle_ms: 60_000,
+        ..ephemeral(2)
+    };
+    let server = launch(&cfg, rma_model(&bytes));
+    let addr = server.local_addr();
+
+    let mut idle: Vec<TcpStream> = (0..2)
+        .map(|_| {
+            let mut s = TcpStream::connect(addr).expect("connect");
+            s.set_read_timeout(Some(Duration::from_secs(30)))
+                .expect("timeout");
+            send_keep_alive(&mut s, "GET", "/healthz", "");
+            let (status, _, _) = read_response(&mut s);
+            assert_eq!(status, 200);
+            s
+        })
+        .collect();
+
+    let started = std::time::Instant::now();
+    server.request_shutdown();
+    server.join();
+    let took = started.elapsed();
+    assert!(
+        took < Duration::from_secs(5),
+        "drain waited {took:?} on idle connections (idle timeout 60 s)"
+    );
+    // The server closed the idle connections rather than leaving them.
+    for s in &mut idle {
+        let mut rest = Vec::new();
+        s.read_to_end(&mut rest).expect("read to close");
+        assert!(rest.is_empty());
+    }
 }
