@@ -13,18 +13,15 @@
 //! delay under overload is part of the number, as it is for a real
 //! client.
 //!
-//! Every target runs in paired trials across three server modes: a
-//! bare server (`qps{N}_nomon`: monitoring and profiling both off), a
-//! monitored one (`qps{N}_noprof`: windowed metrics, SLO tracking,
-//! slow-request exemplars and drift sampling against an embedded
-//! reference — but the request profiler off), and the full plane
+//! Every target runs in paired trials across two server modes: a bare
+//! server (`qps{N}_nomon`: monitoring off) and the full plane
 //! (historical `qps{N}` names, so `recipe-mine bench-diff` trends stay
-//! continuous: monitoring plus the per-endpoint request profiler that
-//! backs `/admin/profile`). Outside smoke mode the run fails if either
-//! layer inflates its target's best-of-trials p99 by more than 5%
-//! (with a 200 µs absolute allowance for scheduler noise): monitoring
-//! is gated against the bare twin, the profiler against the monitored
-//! twin — the two overhead gates CI relies on.
+//! continuous: windowed metrics, SLO tracking, slow-request exemplars,
+//! drift sampling against an embedded reference and the per-endpoint
+//! request profiler that backs `/admin/profile`). Outside smoke mode
+//! the run fails if monitoring inflates its target's best-of-trials p99
+//! by more than 5% (with a 200 µs absolute allowance for scheduler
+//! noise) — the overhead gate CI relies on.
 //!
 //! Per target the report carries p50/p99/p999 (as the gated
 //! `median_s`/`p99_s`/`p999_s` fields), the shed rate (503 responses
@@ -50,8 +47,7 @@ use std::time::{Duration, Instant};
 /// one slow response only delays that thread's share of the schedule.
 const CLIENT_THREADS: usize = 8;
 
-/// Relative p99 inflation each observability layer (monitoring, then
-/// the request profiler) is allowed to cost (non-smoke).
+/// Relative p99 inflation monitoring is allowed to cost (non-smoke).
 const OVERHEAD_FRAC_MAX: f64 = 0.05;
 
 /// Absolute p99 allowance absorbing scheduler noise on tiny latencies.
@@ -110,18 +106,14 @@ fn main() {
         vec![(250.0, 500), (750.0, 1500)]
     };
 
-    // Paired trials: each trial runs all three modes against fresh
-    // servers sharing the trial's arrival schedule, so the modes see
+    // Paired trials: each trial runs both modes against fresh servers
+    // sharing the trial's arrival schedule, so the modes see
     // identical offered load. The gates compare the *minimum* p99
     // across trials per mode — an open-loop p99 over a couple thousand
     // samples is one scheduler hiccup away from 5x, and the min is the
     // standard noise-robust estimate of the clean value. History rows
     // pool every trial's samples for a stable trend line.
-    let modes: [(&str, bool, bool); 3] = [
-        ("_nomon", false, false),
-        ("_noprof", true, false),
-        ("", true, true),
-    ];
+    let modes: [(&str, bool); 2] = [("_nomon", false), ("", true)];
     let trials = if smoke { 1 } else { 3 };
     let mut pooled: Vec<Vec<Vec<Sample>>> = modes
         .iter()
@@ -131,7 +123,7 @@ fn main() {
     let mut shards = 0;
     let mut profile_doc = Value::Null;
     for trial in 0..trials {
-        for (mode, &(_, monitoring, profiling)) in modes.iter().enumerate() {
+        for (mode, &(_, monitoring)) in modes.iter().enumerate() {
             let model = ServeModel::Rma(
                 ArtifactPipeline::from_bytes(Arc::clone(&bytes), false).expect("load artifact"),
             );
@@ -143,7 +135,6 @@ fn main() {
                 shards: 2,
                 queue_cap: 512,
                 monitoring,
-                profiling,
                 ..ServeConfig::default()
             };
             let server = Server::launch(&cfg, model, (String::from("<in-process>"), false))
@@ -152,7 +143,7 @@ fn main() {
             shards = server.shards();
             eprintln!(
                 "trial {trial}: serving on {addr} with {shards} shards \
-                 (monitoring={monitoring}, profiling={profiling})"
+                 (monitoring={monitoring})"
             );
 
             for (i, &(qps, requests)) in targets.iter().enumerate() {
@@ -174,59 +165,51 @@ fn main() {
             // Keep the last full-plane trial's stage attribution: the
             // report's `profile` block rides into bench history so
             // bench-diff can name the stage behind a percentile shift.
-            if profiling {
+            if monitoring {
                 profile_doc = serde_json::to_value(&server.profile());
             }
 
             server.request_shutdown();
-            // The acceptor notices shutdown on its next poll tick; a
-            // nudge connection is unnecessary because it polls with a
-            // timeout.
             server.join();
         }
     }
 
     let mut rows: Vec<Value> = Vec::new();
-    for (mode, &(suffix, _, _)) in modes.iter().enumerate() {
+    for (mode, &(suffix, _)) in modes.iter().enumerate() {
         for (i, &(qps, _)) in targets.iter().enumerate() {
             let (row, _) = target_row(qps, suffix, shards, &pooled[mode][i]);
             rows.push(row);
         }
     }
 
-    // The overhead gates: best-of-trials p99 with a layer on may not
-    // exceed its twin without that layer by more than 5% (plus an
-    // absolute allowance for scheduler noise at microsecond latencies).
-    // Monitoring is gated against the bare server, the profiler
-    // against the monitored one, so each gate isolates one layer.
-    let gates: [(&str, usize, usize); 2] = [("monitoring", 0, 1), ("profiler", 1, 2)];
+    // The overhead gate: best-of-trials p99 with monitoring on may not
+    // exceed the bare twin's by more than 5% (plus an absolute
+    // allowance for scheduler noise at microsecond latencies).
     let mut overhead_rows: Vec<Value> = Vec::new();
-    for &(layer, base, full) in gates.iter() {
-        for (i, &(qps, _)) in targets.iter().enumerate() {
-            let off = p99_min[base].get(i).copied().unwrap_or(0.0);
-            let on = p99_min[full].get(i).copied().unwrap_or(0.0);
-            let frac = if off > 0.0 { (on - off) / off } else { 0.0 };
-            eprintln!(
-                "{layer} overhead at {qps} QPS: p99 {:.1}us -> {:.1}us ({:+.1}%)",
-                off * 1e6,
-                on * 1e6,
-                frac * 100.0
+    for (i, &(qps, _)) in targets.iter().enumerate() {
+        let off = p99_min[0][i];
+        let on = p99_min[1][i];
+        let frac = if off > 0.0 { (on - off) / off } else { 0.0 };
+        eprintln!(
+            "monitoring overhead at {qps} QPS: p99 {:.1}us -> {:.1}us ({:+.1}%)",
+            off * 1e6,
+            on * 1e6,
+            frac * 100.0
+        );
+        overhead_rows.push(json!({
+            "layer": "monitoring",
+            "qps_target": qps,
+            "p99_off_s": off,
+            "p99_on_s": on,
+            "overhead_frac": frac,
+        }));
+        if !smoke {
+            assert!(
+                on <= off * (1.0 + OVERHEAD_FRAC_MAX) + OVERHEAD_ABS_S,
+                "monitoring inflates p99 beyond {:.0}% at {qps} QPS: \
+                 {off:.6}s off vs {on:.6}s on",
+                OVERHEAD_FRAC_MAX * 100.0
             );
-            overhead_rows.push(json!({
-                "layer": layer,
-                "qps_target": qps,
-                "p99_off_s": off,
-                "p99_on_s": on,
-                "overhead_frac": frac,
-            }));
-            if !smoke {
-                assert!(
-                    on <= off * (1.0 + OVERHEAD_FRAC_MAX) + OVERHEAD_ABS_S,
-                    "{layer} inflates p99 beyond {:.0}% at {qps} QPS: \
-                     {off:.6}s off vs {on:.6}s on",
-                    OVERHEAD_FRAC_MAX * 100.0
-                );
-            }
         }
     }
 
@@ -240,12 +223,11 @@ fn main() {
         "note": "open-loop arrivals on a seeded schedule; latency runs from the \
                  scheduled arrival to the last response byte, so queueing under \
                  overload is included; 503 sheds are counted, not timed; each \
-                 target runs paired trials against a bare server (rows *_nomon), \
-                 a monitored one (rows *_noprof) and the full plane (historical \
-                 row names, monitoring + request profiler); rows pool all \
-                 trials, the two overhead gates compare best-of-trials p99s \
-                 layer by layer; the profile block is the last full-plane \
-                 trial's stage attribution",
+                 target runs paired trials against a bare server (rows *_nomon) \
+                 and the full monitoring plane (historical row names); rows \
+                 pool all trials, the overhead gate compares best-of-trials \
+                 p99s; the profile block is the last monitored trial's stage \
+                 attribution",
         "trials": trials,
         "units": "fields ending _s are seconds, _per_s and _rate ratios; the \
                   bench-diff gate compares only the _s fields",

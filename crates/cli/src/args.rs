@@ -82,8 +82,7 @@ pub enum Command {
         threads: usize,
     },
     /// `serve --model <path> [--addr HOST:PORT] [--threads T]
-    /// [--quantized] [--queue-cap N] [--no-monitoring]
-    /// [--no-profiling] [--drift-sample N]
+    /// [--quantized] [--queue-cap N] [--no-monitoring] [--drift-sample N]
     /// [--keepalive-max-requests N] [--keepalive-idle-ms MS]
     /// [--slo-availability R] [--slo-latency-ms MS]`:
     /// run the long-lived HTTP serving layer over the model (see
@@ -101,12 +100,9 @@ pub enum Command {
         /// (admission control depth).
         queue_cap: usize,
         /// Collect windowed metrics, SLO outcomes, slow-request
-        /// exemplars and drift samples (`--no-monitoring` disables).
+        /// exemplars, drift samples and the request profile behind
+        /// `/admin/profile` (`--no-monitoring` disables all of them).
         monitoring: bool,
-        /// Attribute per-request stage costs on the always-on request
-        /// profiler behind `/admin/profile` (`--no-profiling`
-        /// disables).
-        profiling: bool,
         /// Sample every Nth `/extract` request for drift scoring
         /// (`0` disables sampling).
         drift_sample: u64,
@@ -399,7 +395,6 @@ pub fn parse_args(args: &[String]) -> Result<ParsedArgs, ArgsError> {
     let mut explain = false;
     let mut quantized = false;
     let mut no_monitoring = false;
-    let mut no_profiling = false;
     let rest: Vec<String> = args[1..]
         .iter()
         .filter(|a| match a.as_str() {
@@ -423,10 +418,6 @@ pub fn parse_args(args: &[String]) -> Result<ParsedArgs, ArgsError> {
                 no_monitoring = true;
                 false
             }
-            "--no-profiling" => {
-                no_profiling = true;
-                false
-            }
             _ => true,
         })
         .cloned()
@@ -445,9 +436,6 @@ pub fn parse_args(args: &[String]) -> Result<ParsedArgs, ArgsError> {
     }
     if no_monitoring && cmd.as_str() != "serve" {
         return Err(ArgsError::UnexpectedArg("--no-monitoring".to_string()));
-    }
-    if no_profiling && cmd.as_str() != "serve" {
-        return Err(ArgsError::UnexpectedArg("--no-profiling".to_string()));
     }
     let rest = rest.as_slice();
     let (flags, positional) = split_flags(rest);
@@ -571,6 +559,26 @@ pub fn parse_args(args: &[String]) -> Result<ParsedArgs, ArgsError> {
             }
         }
         "serve" => {
+            // Every flag left here takes a value, so an unknown one
+            // would silently swallow the token after it.
+            const SERVE_FLAGS: [&str; 9] = [
+                "model",
+                "addr",
+                "threads",
+                "queue-cap",
+                "drift-sample",
+                "keepalive-max-requests",
+                "keepalive-idle-ms",
+                "slo-availability",
+                "slo-latency-ms",
+            ];
+            let unknown = rest.iter().find(|a| {
+                a.strip_prefix("--")
+                    .is_some_and(|name| !SERVE_FLAGS.contains(&name))
+            });
+            if let Some(arg) = unknown.or(positional.first()) {
+                return Err(ArgsError::UnexpectedArg(arg.clone()));
+            }
             let model = flags
                 .get("model")
                 .cloned()
@@ -649,7 +657,6 @@ pub fn parse_args(args: &[String]) -> Result<ParsedArgs, ArgsError> {
                 quantized,
                 queue_cap,
                 monitoring: !no_monitoring,
-                profiling: !no_profiling,
                 drift_sample,
                 keepalive_max_requests,
                 keepalive_idle_ms,
@@ -967,7 +974,7 @@ USAGE:
   recipe-mine explain --model <model.json> [--threads T] <phrase>...
   recipe-mine serve   --model <model.json|model.rma> [--addr HOST:PORT]
                       [--threads T] [--quantized] [--queue-cap N]
-                      [--no-monitoring] [--no-profiling] [--drift-sample N]
+                      [--no-monitoring] [--drift-sample N]
                       [--keepalive-max-requests N] [--keepalive-idle-ms MS]
                       [--slo-availability R] [--slo-latency-ms MS]
   recipe-mine monitor [--addr HOST:PORT] [--interval-ms N] [--count N]
@@ -1015,7 +1022,7 @@ Profiling: --profile-out PATH attributes wall ticks to every span site
 JSON; `recipe-mine profile` renders it, emits flamegraph-ready
 collapsed-stack lines (--fold), or ranks regressed stages against a
 second profile (--diff). bench-diff prints the same stage ranking when
-history runs carry profiles. The server keeps an always-on low-overhead
+history runs carry profiles. A monitored server keeps a request
 profiler at GET /admin/profile.
 
 Linting: --source-only runs just the token-accurate source passes
@@ -1047,14 +1054,15 @@ extract  print the structured attributes of ingredient phrases as JSON;
          (--quantized selects the i16 decode kernels, .rma only)
 explain  extract phrases with provenance recording on and print the
          decision trail that produced each entry
-serve    run the long-lived HTTP/1.1 serving layer: one acceptor plus
-         --threads shard-per-core workers micro-batching a bounded
-         request queue (503 + Retry-After when full). Endpoints:
+serve    run the long-lived HTTP/1.1 serving layer: one acceptor and
+         one thread per connection, --threads requests handled at once
+         (503 + Retry-After when too many wait). Endpoints:
          POST /extract, POST /explain, GET /healthz, GET /metrics
          (windowed rates/tails + drift), GET /admin/slo, GET
-         /admin/slow, POST /admin/reload (hot-swap), POST
-         /admin/shutdown (drain). --no-monitoring turns the live
-         observability plane off; --drift-sample N scores every Nth
+         /admin/slow, GET /admin/profile, POST /admin/reload
+         (hot-swap), POST /admin/shutdown (drain). --no-monitoring
+         turns the live observability plane off (windows, SLOs, slow
+         table, drift, request profile); --drift-sample N scores every Nth
          extract request against the artifact's drift reference;
          --keepalive-max-requests / --keepalive-idle-ms bound connection
          reuse; --slo-availability / --slo-latency-ms set the SLO
@@ -1813,7 +1821,6 @@ mod tests {
                 quantized: false,
                 queue_cap: 128,
                 monitoring: true,
-                profiling: true,
                 drift_sample: 8,
                 keepalive_max_requests: 64,
                 keepalive_idle_ms: 5_000,
@@ -1833,7 +1840,6 @@ mod tests {
             "--queue-cap",
             "32",
             "--no-monitoring",
-            "--no-profiling",
             "--drift-sample",
             "0",
             "--keepalive-max-requests",
@@ -1855,7 +1861,6 @@ mod tests {
                 quantized: true,
                 queue_cap: 32,
                 monitoring: false,
-                profiling: false,
                 drift_sample: 0,
                 keepalive_max_requests: 8,
                 keepalive_idle_ms: 1000,
@@ -1867,9 +1872,23 @@ mod tests {
             parse_args(&s(&["extract", "--model", "m", "x", "--no-monitoring"])),
             Err(ArgsError::UnexpectedArg("--no-monitoring".into()))
         );
+        // `--no-monitoring` is the one observability switch; any other
+        // flag, such as the retired `--no-profiling`, is rejected rather
+        // than paired with (and swallowing) the token after it.
         assert_eq!(
-            parse_args(&s(&["mine", "--model", "m", "x", "--no-profiling"])),
+            parse_args(&s(&[
+                "serve",
+                "--model",
+                "m.rma",
+                "--no-profiling",
+                "--addr",
+                "0.0.0.0:9000",
+            ])),
             Err(ArgsError::UnexpectedArg("--no-profiling".into()))
+        );
+        assert_eq!(
+            parse_args(&s(&["serve", "--model", "m.rma", "stray"])),
+            Err(ArgsError::UnexpectedArg("stray".into()))
         );
         assert_eq!(
             parse_args(&s(&["serve"])),

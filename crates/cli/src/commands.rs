@@ -129,7 +129,6 @@ pub fn run(command: &Command) -> Result<String, CliError> {
             quantized,
             queue_cap,
             monitoring,
-            profiling,
             drift_sample,
             keepalive_max_requests,
             keepalive_idle_ms,
@@ -144,7 +143,6 @@ pub fn run(command: &Command) -> Result<String, CliError> {
                 quantized: *quantized,
                 queue_cap: *queue_cap,
                 monitoring: *monitoring,
-                profiling: *profiling,
                 drift_sample: *drift_sample,
                 keepalive_max_requests: *keepalive_max_requests,
                 keepalive_idle_ms: *keepalive_idle_ms,
@@ -181,6 +179,14 @@ struct ObsOpts {
     profile_out: Option<String>,
 }
 
+/// What [`ObsOpts::begin`] started for one command.
+struct Session {
+    /// Wall-clock origin for the throughput block.
+    started: std::time::Instant,
+    /// The `--explain` provenance scope, open on the command's thread.
+    provenance: Option<recipe_obs::provenance::Capture>,
+}
+
 /// What [`ObsOpts::finish`] produced for the stdout JSON.
 #[derive(Default)]
 struct ObsBlocks {
@@ -213,18 +219,13 @@ impl ObsOpts {
     }
 
     /// Start collection: clear any state left by a previous command in
-    /// this process and flip the switches on. Provenance has its own
-    /// switch so `--explain` works without telemetry.
-    fn begin(&self) -> std::time::Instant {
+    /// this process and flip the switches on. Provenance is a scope of
+    /// its own on the calling thread, so `--explain` works without
+    /// telemetry.
+    fn begin(&self) -> Session {
         if self.active() {
             recipe_obs::reset();
             recipe_obs::set_enabled(true);
-        }
-        if self.profile_out.is_some() {
-            recipe_obs::profile::start(
-                std::sync::Arc::new(recipe_obs::MonotonicClock),
-                "monotonic",
-            );
         }
         if self.trace_out.is_some() {
             recipe_obs::event::start(&recipe_obs::TraceConfig {
@@ -233,11 +234,10 @@ impl ObsOpts {
             });
             recipe_obs::event::set_thread_name("main");
         }
-        if self.explain {
-            recipe_obs::provenance::reset();
-            recipe_obs::provenance::set_enabled(true);
+        Session {
+            started: std::time::Instant::now(),
+            provenance: self.explain.then(recipe_obs::provenance::Capture::start),
         }
-        std::time::Instant::now()
     }
 
     /// Stop collection and export. Merges the pipeline-private registry
@@ -249,31 +249,26 @@ impl ObsOpts {
         command: &str,
         extra: &[&recipe_obs::Registry],
         items: &[(&str, f64)],
-        started: std::time::Instant,
+        session: Session,
     ) -> Result<ObsBlocks, CliError> {
         let mut blocks = ObsBlocks::default();
-        if self.explain {
-            recipe_obs::provenance::set_enabled(false);
-            let records = recipe_obs::provenance::drain();
-            blocks.provenance = Some(recipe_obs::provenance::to_json(&records));
+        if let Some(scope) = session.provenance {
+            blocks.provenance = Some(recipe_obs::provenance::to_json(&scope.finish()));
         }
         if let Some(path) = &self.trace_out {
             recipe_obs::event::flush_local();
-            let session = recipe_obs::event::drain();
+            let events = recipe_obs::event::drain();
             recipe_obs::event::stop();
-            let trace = recipe_obs::export_chrome_trace(&session);
+            let trace = recipe_obs::export_chrome_trace(&events);
             let text = format!("{}\n", serde_json::to_string_pretty(&trace).expect("json"));
             std::fs::write(path, text).map_err(|e| CliError::Io(path.clone(), e))?;
         }
         if !self.active() {
             return Ok(blocks);
         }
-        // Main-thread span aggregates are normally flushed on thread
-        // exit; export needs them now.
-        recipe_obs::span::flush_local();
         let mut t = recipe_obs::Telemetry::gather(extra);
         if let Some(path) = &self.profile_out {
-            let profile = recipe_obs::profile::stop();
+            let profile = recipe_obs::span::profile();
             let text = format!(
                 "{}\n",
                 serde_json::to_string_pretty(&serde_json::to_value(&profile)).expect("json")
@@ -281,7 +276,7 @@ impl ObsOpts {
             std::fs::write(path, text).map_err(|e| CliError::Io(path.clone(), e))?;
             t.profile = profile;
         }
-        let wall_s = started.elapsed().as_secs_f64();
+        let wall_s = session.started.elapsed().as_secs_f64();
         t.throughput.insert("wall_s".to_string(), wall_s);
         for (name, n) in items {
             t.throughput.insert(name.to_string(), *n);
@@ -483,7 +478,7 @@ fn generate(out: &str, recipes: usize, seed: u64) -> Result<String, CliError> {
 }
 
 fn train(out: &str, recipes: usize, seed: u64, obs: &ObsOpts) -> Result<String, CliError> {
-    let started = obs.begin();
+    let session = obs.begin();
     eprintln!("generating corpus of {recipes} recipes (seed {seed})...");
     let corpus = RecipeCorpus::generate(&CorpusSpec::scaled(recipes, seed));
     eprintln!("training pipeline...");
@@ -508,7 +503,7 @@ fn train(out: &str, recipes: usize, seed: u64, obs: &ObsOpts) -> Result<String, 
         "train",
         &[pipeline.inference.metrics_registry()],
         &[("recipes", recipes as f64)],
-        started,
+        session,
     )?;
     pipeline.save(out)?;
     attach_obs_blocks(&mut summary, blocks);
@@ -548,7 +543,6 @@ struct ServeOpts<'a> {
     quantized: bool,
     queue_cap: usize,
     monitoring: bool,
-    profiling: bool,
     drift_sample: u64,
     keepalive_max_requests: u32,
     keepalive_idle_ms: u64,
@@ -565,7 +559,6 @@ fn serve(opts: &ServeOpts<'_>) -> Result<String, CliError> {
         shards: opts.threads,
         queue_cap: opts.queue_cap,
         monitoring: opts.monitoring,
-        profiling: opts.profiling,
         drift_sample: opts.drift_sample,
         keepalive_max_requests: opts.keepalive_max_requests,
         keepalive_idle_ms: opts.keepalive_idle_ms,
@@ -599,17 +592,6 @@ fn serve(opts: &ServeOpts<'_>) -> Result<String, CliError> {
 /// distributions; capture runs one provenance-recorded extraction per
 /// phrase, so this also bounds compile-time cost).
 const DRIFT_REFERENCE_PHRASES: usize = 256;
-
-/// The provenance store is process-global. Commands that record
-/// provenance (`explain`, `--explain`, the drift-reference capture in
-/// `compile`) serialize on this lock so parallel tests in one process
-/// cannot steal each other's records; a production process runs one
-/// command at a time, so it is uncontended there.
-static PROVENANCE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-fn provenance_lock() -> std::sync::MutexGuard<'static, ()> {
-    PROVENANCE_LOCK.lock().unwrap_or_else(|p| p.into_inner())
-}
 
 /// `recipe-mine compile`: serialize a pipeline's compiled models into a
 /// zero-copy `.rma` artifact, from an existing JSON pipeline when
@@ -645,10 +627,7 @@ fn compile(model: Option<&str>, out: &str, recipes: usize, seed: u64) -> Result<
         "capturing drift reference over {} phrases...",
         phrases.len()
     );
-    let reference = {
-        let _guard = provenance_lock();
-        recipe_core::artifact::capture_drift_reference(&pipeline, &phrases)
-    };
+    let reference = recipe_core::artifact::capture_drift_reference(&pipeline, &phrases);
     let bytes = recipe_core::artifact::artifact_bytes_with_reference(&pipeline, Some(&reference))
         .map_err(|e| CliError::Artifact(out.to_string(), e))?;
     std::fs::write(out, &bytes).map_err(|e| CliError::Io(out.to_string(), e))?;
@@ -671,8 +650,7 @@ fn extract(
     quantized: bool,
     obs: &ObsOpts,
 ) -> Result<String, CliError> {
-    let _guard = obs.explain.then(provenance_lock);
-    let started = obs.begin();
+    let session = obs.begin();
     let pipeline = ServeModel::load(model, quantized).map_err(model_error)?;
     pipeline.inference().set_cache_enabled(!no_cache);
     let rows: Vec<serde_json::Value> = {
@@ -690,7 +668,7 @@ fn extract(
         "extract",
         &[pipeline.inference().metrics_registry()],
         &[("phrases", phrases.len() as f64)],
-        started,
+        session,
     )?;
     attach_obs_blocks(&mut out, blocks);
     Ok(format!(
@@ -704,14 +682,9 @@ fn extract(
 /// margins, cache hit/miss origin, dictionary votes).
 fn explain(model: &str, phrases: &[String]) -> Result<String, CliError> {
     let pipeline = TrainedPipeline::load(model)?;
-    let _guard = provenance_lock();
     let mut rows = Vec::new();
     for p in phrases {
-        recipe_obs::provenance::reset();
-        recipe_obs::provenance::set_enabled(true);
-        let e = pipeline.extract_ingredient(p);
-        recipe_obs::provenance::set_enabled(false);
-        let records = recipe_obs::provenance::drain();
+        let (e, records) = recipe_obs::provenance::capture(|| pipeline.extract_ingredient(p));
         rows.push(json!({
             "phrase": p,
             "entry": entry_json(&e),
@@ -846,8 +819,7 @@ fn profile_cmd(opts: &ProfileOptions) -> Result<String, CliError> {
 }
 
 fn mine(model: &str, files: &[String], no_cache: bool, obs: &ObsOpts) -> Result<String, CliError> {
-    let _guard = obs.explain.then(provenance_lock);
-    let started = obs.begin();
+    let session = obs.begin();
     let pipeline = TrainedPipeline::load(model)?;
     pipeline.set_cache_enabled(!no_cache);
     let _span = recipe_obs::span!("mine");
@@ -877,7 +849,7 @@ fn mine(model: &str, files: &[String], no_cache: bool, obs: &ObsOpts) -> Result<
         "mine",
         &[pipeline.inference.metrics_registry()],
         &[("recipes", files.len() as f64)],
-        started,
+        session,
     )?;
     attach_obs_blocks(&mut out, blocks);
     Ok(format!(
@@ -897,9 +869,9 @@ mod tests {
         dir.join(name)
     }
 
-    /// Telemetry, event tracing, and provenance are process-wide;
-    /// tests that flip those switches serialize on this lock so they
-    /// don't reset each other's collections mid-run.
+    /// Telemetry and event tracing are process-wide; tests that flip
+    /// those switches serialize on this lock so they don't reset each
+    /// other's collections mid-run.
     fn obs_lock() -> std::sync::MutexGuard<'static, ()> {
         static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
         LOCK.lock().unwrap_or_else(|p| p.into_inner())
@@ -907,8 +879,6 @@ mod tests {
 
     #[test]
     fn monitor_polls_a_served_artifact() {
-        // `compile` records provenance for the drift reference.
-        let _lock = obs_lock();
         let rma_path = tmp("monitor_model.rma");
         let rma = rma_path.to_string_lossy().to_string();
         let out = run(&Command::Compile {
@@ -1490,7 +1460,6 @@ mod tests {
 
     #[test]
     fn explain_attaches_provenance_without_perturbing_results() {
-        let _guard = obs_lock();
         let model_path = tmp("cli_explain_model.json");
         let model = model_path.to_string_lossy().to_string();
         run(&Command::Train {

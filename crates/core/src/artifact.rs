@@ -105,20 +105,16 @@ impl DriftReference {
     }
 }
 
-/// Capture a [`DriftReference`] by extracting `phrases` with provenance
-/// recording on and aggregating the margin/label/cache records.
-///
-/// Uses the process-global provenance store — callers that share it
-/// (the server's `/explain` path) hold their own exclusion lock;
-/// `compile` runs single-threaded so plain reset/drain is safe.
+/// Capture a [`DriftReference`] by extracting `phrases` in a provenance
+/// scope of its own and aggregating the margin/label/cache records.
+/// Other threads recording provenance at the same time do not affect
+/// it.
 pub fn capture_drift_reference(pipeline: &TrainedPipeline, phrases: &[String]) -> DriftReference {
-    recipe_obs::provenance::reset();
-    recipe_obs::provenance::set_enabled(true);
-    for phrase in phrases {
-        pipeline.extract_ingredient(phrase);
-    }
-    recipe_obs::provenance::set_enabled(false);
-    let records = recipe_obs::provenance::drain();
+    let ((), records) = recipe_obs::provenance::capture(|| {
+        for phrase in phrases {
+            pipeline.extract_ingredient(phrase);
+        }
+    });
 
     let mut margin_counts = vec![0u64; DRIFT_MARGIN_BOUNDS.len() + 1];
     let mut label_counts: BTreeMap<String, u64> = BTreeMap::new();

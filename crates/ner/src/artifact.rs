@@ -642,10 +642,10 @@ mod tests {
         let mut s1 = DecodeScratch::new();
         let mut s2 = DecodeScratch::new();
         let mut ids = Vec::new();
-        recipe_obs::provenance::set_enabled(true);
-        model.predict_ids_into(&tokens, &mut s1, &mut ids);
-        view.predict_ids_into(&tokens, &mut s2, &mut ids);
-        recipe_obs::provenance::set_enabled(false);
+        recipe_obs::provenance::capture(|| {
+            model.predict_ids_into(&tokens, &mut s1, &mut ids);
+            view.predict_ids_into(&tokens, &mut s2, &mut ids);
+        });
         assert_eq!(s1.margins(), s2.margins());
     }
 

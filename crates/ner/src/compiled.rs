@@ -524,13 +524,12 @@ mod tests {
         let mut out_explained = Vec::new();
         let feats: Vec<Vec<u32>> = vec![vec![0, 2], vec![1], vec![5, 0], vec![2]];
 
-        recipe_obs::provenance::set_enabled(false);
         c.viterbi_into(&feats, &mut scratch, &mut out_plain);
         assert!(scratch.margins().is_empty(), "margins without --explain");
 
-        recipe_obs::provenance::set_enabled(true);
-        c.viterbi_into(&feats, &mut scratch, &mut out_explained);
-        recipe_obs::provenance::set_enabled(false);
+        recipe_obs::provenance::capture(|| {
+            c.viterbi_into(&feats, &mut scratch, &mut out_explained);
+        });
         assert_eq!(out_explained, out_plain, "margins perturbed the decode");
         assert_eq!(scratch.margins().len(), feats.len(), "one margin per token");
         for (i, &m) in scratch.margins().iter().enumerate() {

@@ -1,51 +1,54 @@
 //! `recipe-obs`: zero-dependency observability for the recipe pipeline.
 //!
-//! Three pieces, all std-only:
+//! The pieces, all std-only:
 //!
-//! 1. **Metrics registry** ([`metrics`]): named atomic [`Counter`]s
-//!    (sharded across cache lines so hot-path increments from the worker
-//!    pool stay uncontended), [`Gauge`]s, fixed-bucket [`Histogram`]s and
-//!    bounded [`Series`]. A process-global registry ([`metrics::global`])
-//!    serves the hot paths; components that need isolation (e.g. the
-//!    per-pipeline phrase caches) own private [`Registry`] instances that
-//!    are merged into exported telemetry.
+//! - **Metrics registry** ([`metrics`]): named atomic [`Counter`]s
+//!   (sharded across cache lines so hot-path increments from the worker
+//!   pool stay uncontended), [`Gauge`]s, fixed-bucket [`Histogram`]s and
+//!   bounded [`Series`]. A process-global registry ([`metrics::global`])
+//!   serves the hot paths; components that need isolation (e.g. the
+//!   per-pipeline phrase caches) own private [`Registry`] instances that
+//!   are merged into exported telemetry.
 //!
-//! 2. **Hierarchical spans** ([`span`]): `let _g = span!("ner.decode");`
-//!    guards that *aggregate* into a stage tree — count plus total wall
-//!    time per (path-from-root) — instead of logging per event. O(1) per
-//!    span, no allocation on the hot path after the first occurrence of a
-//!    path on a thread, and a single relaxed atomic load when tracing is
-//!    disabled.
+//! - **Hierarchical spans** ([`span`]): `let _g = span!("ner.decode");`
+//!   guards that *aggregate* — count plus total ticks per
+//!   (path-from-root) — instead of logging per event. The stage tree
+//!   and the cost-attribution [`Profile`] are two views of that one
+//!   aggregate. O(1) per span, no allocation on the hot path after the
+//!   first occurrence of a path on a thread, and a single relaxed atomic
+//!   load when tracing is disabled.
 //!
-//! 3. **Telemetry export** ([`report`]): a serializable [`Telemetry`]
-//!    snapshot (stage tree, counters, gauges, histogram summaries,
-//!    series, throughput) plus a human renderer and a schema validator
-//!    for the `--metrics-out` JSON documents written by the CLI.
+//! - **Event tracing** ([`event`]): per-thread ring buffers of
+//!   begin/end/instant events, an optional sink on the same `span!()`
+//!   guards, exported as Chrome-trace JSON (`--trace-out`, sampled via
+//!   `--trace-sample`).
 //!
-//! 4. **Event tracing** ([`event`]): per-thread ring buffers of
-//!    begin/end/instant events behind the same `span!()` sites,
-//!    exported as Chrome-trace JSON (`--trace-out`, sampled via
-//!    `--trace-sample`).
+//! - **Telemetry export** ([`report`]): a serializable [`Telemetry`]
+//!   snapshot (stage tree, counters, gauges, histogram summaries,
+//!   series, throughput, windows, profile) plus a human renderer and a
+//!   schema validator for the `--metrics-out` JSON documents written by
+//!   the CLI.
 //!
-//! 5. **Prediction provenance** ([`provenance`]): canonical,
-//!    deterministic records of per-token Viterbi margins, cache
-//!    hit/miss origins, and dictionary accept/reject decisions behind
-//!    the CLI `--explain` flag.
+//! - **Cost attribution** ([`profile`]): the [`Profile`] model filled
+//!   by the span aggregate or by an instanced [`Profiler`] (the
+//!   server's `/admin/profile`), a collapsed-stack (flamegraph-folded)
+//!   exporter, and the profile differ that lets `bench-diff` name
+//!   regressed stages.
 //!
-//! 6. **Bench history** ([`history`]): schema_version'd JSON Lines
-//!    bench-run records plus the `bench-diff` regression gate.
+//! - **Windowed metrics & SLOs** ([`window`], [`slo`]): ring-of-bucket
+//!   sliding windows over an injectable [`window::Clock`] (monotonic in
+//!   production, virtual in tests) feeding rolling rates, windowed tail
+//!   percentiles, and the multi-window multi-burn-rate SLO engine
+//!   behind the server's `/admin/slo`.
 //!
-//! 7. **Windowed metrics & SLOs** ([`window`], [`slo`]): ring-of-bucket
-//!    sliding windows over an injectable [`window::Clock`] (monotonic in
-//!    production, virtual in tests) feeding rolling rates, windowed tail
-//!    percentiles, and the multi-window multi-burn-rate SLO engine
-//!    behind the server's `/admin/slo`.
+//! - **Prediction provenance** ([`provenance`]): canonical,
+//!   deterministic records of per-token Viterbi margins, cache
+//!   hit/miss origins, and dictionary accept/reject decisions, scoped to
+//!   the call that asked for them (`--explain`, `/explain`, drift
+//!   samples) and the runtime workers it dispatches to.
 //!
-//! 8. **Continuous profiling** ([`profile`]): exact per-stage tick
-//!    attribution over the `span!()` sites (self vs. children), a
-//!    collapsed-stack (flamegraph-folded) exporter, an instanced
-//!    [`Profiler`] behind the server's `/admin/profile`, and the
-//!    profile differ that lets `bench-diff` name regressed stages.
+//! - **Bench history** ([`history`]): schema_version'd JSON Lines
+//!   bench-run records plus the `bench-diff` regression gate.
 //!
 //! Observability must never perturb artifacts: nothing here influences
 //! any computed value, and aggregation (not logging) keeps the memory
@@ -117,31 +120,6 @@ pub fn enabled() -> bool {
 pub fn reset() {
     metrics::global().reset();
     span::reset();
-    profile::reset();
-}
-
-/// Declarative on/off configuration, mirroring the CLI `--trace` flag.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ObsConfig {
-    /// Collect spans and histograms when `true`.
-    pub enabled: bool,
-}
-
-impl ObsConfig {
-    /// Tracing disabled: every span and histogram record is a no-op.
-    pub fn off() -> Self {
-        ObsConfig { enabled: false }
-    }
-
-    /// Tracing enabled.
-    pub fn on() -> Self {
-        ObsConfig { enabled: true }
-    }
-
-    /// Apply this configuration to the process-wide switch.
-    pub fn apply(&self) {
-        set_enabled(self.enabled);
-    }
 }
 
 /// Open an aggregating span: `let _g = span!("pipeline.extract");`.
@@ -163,18 +141,4 @@ macro_rules! span {
 pub(crate) fn tests_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
     LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn obs_config_round_trip() {
-        let _lock = tests_lock();
-        ObsConfig::on().apply();
-        assert!(enabled());
-        ObsConfig::off().apply();
-        assert!(!enabled());
-    }
 }

@@ -1,14 +1,10 @@
-//! Continuous profiling and cost attribution over the span tree.
+//! Cost attribution: the [`Profile`] data model and its exporters.
 //!
-//! Two collectors share one data model:
+//! Two producers fill it:
 //!
-//! 1. A **process-global profiler** ([`start`] / [`stop`]) hooked into
-//!    the `span!()` sites: while active, every span records its exact
-//!    enter/exit tick pair from an injected [`Clock`], aggregated per
-//!    (path-from-root) stage exactly like the span tree — per-thread
-//!    maps, flushed on thread exit, merged under one mutex. Under a
-//!    frozen [`crate::window::VirtualClock`] the attribution is exact
-//!    and byte-reproducible.
+//! 1. The **span aggregate** ([`crate::span::profile`]): every
+//!    `span!()` site's `(count, total_ticks)` per path, the same cells
+//!    the stage tree reads (`--profile-out`).
 //!
 //! 2. An **instanced [`Profiler`]** for components that attribute cost
 //!    outside the span machinery — the server records queue/handle/write
@@ -24,24 +20,15 @@
 //! regressions so `bench-diff` can name the stage that ate the ticks,
 //! not just the percentile that moved.
 
-use crate::window::Clock;
+use crate::span::Agg;
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
-use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// Version of the `profile` block layout; bumped on breaking changes.
 pub const PROFILE_SCHEMA_VERSION: u64 = 1;
-
-/// Aggregated cell for one stage path.
-#[derive(Debug, Clone, Copy, Default)]
-struct ProfAgg {
-    count: u64,
-    total_ticks: u64,
-}
 
 /// One stage of an exported profile: a full path from the root span
 /// plus its cost. `self_ticks` is `total_ticks` minus the totals of
@@ -85,14 +72,16 @@ impl Default for Profile {
 }
 
 impl Profile {
-    /// Assemble a profile from aggregated cells (already path-keyed;
-    /// `BTreeMap` iteration gives the sorted order the format
-    /// requires).
-    fn from_cells(clock: &str, cells: &BTreeMap<Vec<String>, ProfAgg>) -> Self {
+    /// Assemble a profile from aggregated cells, given in the sorted
+    /// path order the format requires (`BTreeMap` iteration order).
+    pub(crate) fn from_cells(
+        clock: &str,
+        cells: impl IntoIterator<Item = (Vec<String>, Agg)>,
+    ) -> Self {
         let mut nodes: Vec<ProfileNode> = cells
-            .iter()
+            .into_iter()
             .map(|(path, agg)| ProfileNode {
-                path: path.clone(),
+                path,
                 count: agg.count,
                 total_ticks: agg.total_ticks,
                 self_ticks: agg.total_ticks,
@@ -113,8 +102,8 @@ impl Profile {
         }
         // Every tick is attributed to exactly one node's self time, so
         // the self sum is the grand total under both producers: the
-        // span-hooked profiler (complete trees, where it equals the
-        // root totals) and instanced `Profiler`s that record only leaf
+        // span aggregate (complete trees, where it equals the root
+        // totals) and instanced `Profiler`s that record only leaf
         // stages (no depth-1 ancestors to sum).
         let total_ticks = nodes.iter().map(|n| n.self_ticks).sum();
         Profile {
@@ -146,191 +135,6 @@ pub fn fold(profile: &Profile) -> String {
 }
 
 // ---------------------------------------------------------------------
-// Process-global span-hooked profiler.
-// ---------------------------------------------------------------------
-
-/// Generation counter: odd while the global profiler is active. Bumped
-/// on every [`start`]/[`stop`] so per-thread clock caches invalidate
-/// without taking the state lock on the hot path.
-static GENERATION: AtomicU64 = AtomicU64::new(0);
-
-/// The active clock, set by [`start`]; the label travels into the
-/// exported [`Profile::clock`].
-static STATE: Mutex<Option<(Arc<dyn Clock>, String)>> = Mutex::new(None);
-
-/// Process-global aggregation for the span-hooked profiler.
-static GLOBAL_PROF: Mutex<BTreeMap<Vec<String>, ProfAgg>> = Mutex::new(BTreeMap::new());
-
-/// Per-thread aggregation, flushed to [`GLOBAL_PROF`] on thread exit —
-/// the same two-level scheme as the span tree, so worker threads never
-/// contend on the global mutex per span.
-#[derive(Default)]
-struct LocalProf {
-    map: RefCell<HashMap<Vec<&'static str>, ProfAgg>>,
-}
-
-impl LocalProf {
-    fn record(&self, path: &[&'static str], ticks: u64) {
-        let mut map = self.map.borrow_mut();
-        if let Some(agg) = map.get_mut(path) {
-            agg.count += 1;
-            agg.total_ticks += ticks;
-        } else {
-            map.insert(
-                path.to_vec(),
-                ProfAgg {
-                    count: 1,
-                    total_ticks: ticks,
-                },
-            );
-        }
-    }
-
-    fn flush(&self) {
-        let mut map = self.map.borrow_mut();
-        if map.is_empty() {
-            return;
-        }
-        let mut global = GLOBAL_PROF
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        for (path, agg) in map.drain() {
-            let key: Vec<String> = path.iter().map(|s| s.to_string()).collect();
-            let cell = global.entry(key).or_default();
-            cell.count += agg.count;
-            cell.total_ticks += agg.total_ticks;
-        }
-    }
-}
-
-impl Drop for LocalProf {
-    fn drop(&mut self) {
-        self.flush();
-    }
-}
-
-thread_local! {
-    static LOCAL_PROF: LocalProf = LocalProf::default();
-    /// Generation-stamped clone of the active clock, so the span hot
-    /// path reads ticks without touching [`STATE`]'s lock.
-    static CACHED_CLOCK: RefCell<(u64, Option<Arc<dyn Clock>>)> = const { RefCell::new((0, None)) };
-}
-
-/// Run `f` with the active clock for generation `gen`, refreshing the
-/// thread's cache from [`STATE`] when stale. Returns `None` when the
-/// profiler stopped in between.
-fn with_clock<T>(gen: u64, f: impl FnOnce(&dyn Clock) -> T) -> Option<T> {
-    CACHED_CLOCK
-        .try_with(|cache| {
-            let mut cache = cache.borrow_mut();
-            if cache.0 != gen || cache.1.is_none() {
-                let state = STATE
-                    .lock()
-                    .unwrap_or_else(|poisoned| poisoned.into_inner());
-                // Re-check under the lock: the generation may have moved
-                // again while we waited.
-                if GENERATION.load(Ordering::Acquire) != gen {
-                    return None;
-                }
-                *cache = (gen, state.as_ref().map(|(c, _)| Arc::clone(c)));
-            }
-            cache.1.as_deref().map(f)
-        })
-        .ok()
-        .flatten()
-}
-
-/// Start the global span-hooked profiler: every subsequent span on any
-/// thread attributes its exact tick cost under its stage path. Clears
-/// any previous attribution. Spans only record while
-/// [`crate::enabled`] is on (the profiler rides the same guards).
-pub fn start(clock: Arc<dyn Clock>, clock_label: &str) {
-    let mut state = STATE
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner());
-    GLOBAL_PROF
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-        .clear();
-    let _ = LOCAL_PROF.try_with(|l| l.map.borrow_mut().clear());
-    *state = Some((clock, clock_label.to_string()));
-    // 2 keeps it odd across restarts (odd = active).
-    let gen = GENERATION.load(Ordering::Acquire);
-    GENERATION.store(gen + if gen % 2 == 0 { 1 } else { 2 }, Ordering::Release);
-}
-
-/// Whether the global profiler is collecting.
-pub fn is_active() -> bool {
-    GENERATION.load(Ordering::Acquire) % 2 == 1
-}
-
-/// Stop the global profiler and export everything attributed since
-/// [`start`]. Flushes the calling thread first; worker threads flushed
-/// when they exited.
-pub fn stop() -> Profile {
-    let label = {
-        let mut state = STATE
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        let gen = GENERATION.load(Ordering::Acquire);
-        if gen % 2 == 1 {
-            GENERATION.store(gen + 1, Ordering::Release);
-        }
-        match state.take() {
-            Some((_, label)) => label,
-            None => "none".to_string(),
-        }
-    };
-    flush_local();
-    let mut global = GLOBAL_PROF
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner());
-    let profile = Profile::from_cells(&label, &global);
-    global.clear();
-    profile
-}
-
-/// Flush the calling thread's profile aggregates into the global map.
-pub fn flush_local() {
-    let _ = LOCAL_PROF.try_with(|l| l.flush());
-}
-
-/// Drop all attributed cost, globally and on the calling thread, without
-/// changing whether the profiler is active.
-pub fn reset() {
-    let _ = LOCAL_PROF.try_with(|l| l.map.borrow_mut().clear());
-    GLOBAL_PROF
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-        .clear();
-}
-
-/// Span-enter hook: stamp the enter tick when the profiler is active.
-#[inline]
-pub(crate) fn on_enter() -> Option<u64> {
-    let gen = GENERATION.load(Ordering::Acquire);
-    if gen % 2 == 0 {
-        return None;
-    }
-    with_clock(gen, |clock| clock.now_ticks())
-}
-
-/// Span-exit hook: attribute the tick delta under `path` (the full
-/// open-span stack, this span's name last).
-#[inline]
-pub(crate) fn on_exit(path: &[&'static str], start_ticks: u64) {
-    let gen = GENERATION.load(Ordering::Acquire);
-    if gen % 2 == 0 {
-        return;
-    }
-    let Some(end) = with_clock(gen, |clock| clock.now_ticks()) else {
-        return;
-    };
-    let ticks = end.saturating_sub(start_ticks);
-    let _ = LOCAL_PROF.try_with(|l| l.record(path, ticks));
-}
-
-// ---------------------------------------------------------------------
 // Instanced profiler.
 // ---------------------------------------------------------------------
 
@@ -342,7 +146,7 @@ pub(crate) fn on_exit(path: &[&'static str], start_ticks: u64) {
 #[derive(Debug)]
 pub struct Profiler {
     clock_label: String,
-    cells: Mutex<BTreeMap<Vec<String>, ProfAgg>>,
+    cells: Mutex<BTreeMap<Vec<String>, Agg>>,
 }
 
 impl Profiler {
@@ -361,9 +165,7 @@ impl Profiler {
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner());
         let key: Vec<String> = path.iter().map(|s| s.to_string()).collect();
-        let cell = cells.entry(key).or_default();
-        cell.count += 1;
-        cell.total_ticks += ticks;
+        cells.entry(key).or_default().add(1, ticks);
     }
 
     /// Export everything recorded so far.
@@ -372,7 +174,10 @@ impl Profiler {
             .cells
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner());
-        Profile::from_cells(&self.clock_label, &cells)
+        Profile::from_cells(
+            &self.clock_label,
+            cells.iter().map(|(path, agg)| (path.clone(), *agg)),
+        )
     }
 
     /// Drop everything recorded so far.
@@ -513,61 +318,6 @@ pub fn validate_profile(v: &Value) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::window::VirtualClock;
-
-    #[test]
-    fn span_hooked_attribution_is_exact_under_virtual_clock() {
-        let _lock = crate::tests_lock();
-        crate::set_enabled(true);
-        crate::reset();
-        let clock = Arc::new(VirtualClock::new());
-        clock.set(1_000);
-        start(clock.clone(), "virtual");
-        assert!(is_active());
-        {
-            let _root = crate::span::enter("extract");
-            clock.advance(10);
-            {
-                let _child = crate::span::enter("ner.decode");
-                clock.advance(30);
-            }
-            clock.advance(5);
-        }
-        let profile = stop();
-        crate::set_enabled(false);
-        crate::reset();
-        assert!(!is_active());
-        assert_eq!(profile.clock, "virtual");
-        assert_eq!(profile.total_ticks, 45);
-        assert_eq!(profile.nodes.len(), 2, "{profile:?}");
-        let root = &profile.nodes[0];
-        assert_eq!(root.path, vec!["extract"]);
-        assert_eq!((root.count, root.total_ticks, root.self_ticks), (1, 45, 15));
-        let child = &profile.nodes[1];
-        assert_eq!(child.path, vec!["extract", "ner.decode"]);
-        assert_eq!(
-            (child.count, child.total_ticks, child.self_ticks),
-            (1, 30, 30)
-        );
-    }
-
-    #[test]
-    fn stopped_profiler_attributes_nothing() {
-        let _lock = crate::tests_lock();
-        crate::set_enabled(true);
-        crate::reset();
-        let clock = Arc::new(VirtualClock::new());
-        start(clock.clone(), "virtual");
-        let _ = stop();
-        {
-            let _g = crate::span::enter("ghost");
-            clock.advance(100);
-        }
-        let profile = stop();
-        crate::set_enabled(false);
-        crate::reset();
-        assert!(profile.is_empty(), "{profile:?}");
-    }
 
     #[test]
     fn folded_output_lists_self_ticks_per_path() {

@@ -1,8 +1,9 @@
 //! Prediction provenance: why the pipeline decided what it decided.
 //!
-//! When enabled (the CLI `--explain` flag or the `explain` subcommand),
-//! decision sites in the compiled decode paths record *why* each
-//! prediction happened:
+//! Inside a provenance scope (the CLI `--explain` flag, the `explain`
+//! subcommand, the server's `/explain` and its drift samples), decision
+//! sites in the compiled decode paths record *why* each prediction
+//! happened:
 //!
 //! - `viterbi.margin` — per-token score margin (best minus runner-up
 //!   accumulated Viterbi score) from the compiled NER decoders; small
@@ -16,8 +17,15 @@
 //!   Table V process/utensil thresholds), with `detail` naming what
 //!   backed the acceptance (`"dictionary"`, `"ner"`, or `"none"`).
 //!
-//! Recording is bounded (at most [`CAPACITY`] records, overflow
-//! counted) and **canonical**: [`drain`] sorts by every field and
+//! A scope is a [`Recorder`] installed on the thread that asked for it
+//! ([`capture`], [`Capture`]); the runtime installs the caller's
+//! recorder in each worker it dispatches to ([`current`], [`install`]).
+//! Nothing is shared between scopes, so concurrent requests never see
+//! each other's decisions, and a thread outside any scope pays one
+//! thread-local read per decision site.
+//!
+//! Recording is bounded (at most [`CAPACITY`] records per scope) and
+//! **canonical**: [`Capture::finish`] sorts by every field and
 //! de-duplicates, so the exported block is identical whatever the
 //! worker-thread interleaving — the same determinism contract as the
 //! rest of the crate. Records carry no timestamps for the same reason.
@@ -26,10 +34,11 @@
 //! result.
 
 use serde_json::{json, Value};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::cell::{Cell, RefCell};
+use std::marker::PhantomData;
+use std::sync::{Arc, Mutex, MutexGuard};
 
-/// Maximum records retained; further records are counted as dropped.
+/// Maximum records one scope retains; further records are discarded.
 /// A full `mine` over the bundled corpus stays well under this.
 pub const CAPACITY: usize = 1 << 18;
 
@@ -86,74 +95,134 @@ impl Record {
     }
 }
 
-/// Process-wide provenance switch, independent of the telemetry switch
-/// so `--explain` works without `--trace`.
-static ENABLED: AtomicBool = AtomicBool::new(false);
-
-struct Store {
-    records: Vec<Record>,
-    dropped: u64,
+/// A bounded sink for one scope's records: at most [`CAPACITY`]; later
+/// records are discarded. It is shared by the thread that opened the
+/// scope and the runtime workers that thread dispatches to, so it
+/// locks; only scopes that asked for provenance ever reach it.
+#[derive(Debug, Default)]
+pub struct Recorder {
+    records: Mutex<Vec<Record>>,
 }
 
-static STORE: Mutex<Store> = Mutex::new(Store {
-    records: Vec::new(),
-    dropped: 0,
-});
+impl Recorder {
+    fn records(&self) -> MutexGuard<'_, Vec<Record>> {
+        self.records
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
 
-fn store() -> std::sync::MutexGuard<'static, Store> {
-    STORE
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
+    fn push(&self, r: Record) {
+        let mut records = self.records();
+        if records.len() < CAPACITY {
+            records.push(r);
+        }
+    }
+
+    /// Take all records in canonical order: sorted by every field and
+    /// de-duplicated. Duplicates arise when concurrent workers race on
+    /// the same cache miss and decode the same phrase twice — the set
+    /// of decisions is what provenance reports, so the canonical form
+    /// is identical at any thread count.
+    fn drain(&self) -> Vec<Record> {
+        let mut records = std::mem::take(&mut *self.records());
+        records.sort_by(|a, b| a.sort_key().cmp(&b.sort_key()));
+        records.dedup();
+        records
+    }
 }
 
-/// Turn provenance recording on or off for the whole process.
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
+thread_local! {
+    /// The recorder decision sites on this thread record into; `None`
+    /// (the default) means no scope on this thread asked for provenance.
+    static CURRENT: RefCell<Option<Arc<Recorder>>> = const { RefCell::new(None) };
+    /// Whether `CURRENT` holds a recorder. Kept beside it because a
+    /// `Cell<bool>` has no destructor to register, so reading it is one
+    /// load.
+    static ACTIVE: Cell<bool> = const { Cell::new(false) };
 }
 
-/// Whether decision sites should record provenance. One relaxed load;
-/// instrumented sites check this before computing margins.
+/// Whether decision sites on this thread should record provenance. One
+/// load of a thread-local, no lock and no atomic; instrumented sites
+/// check this before computing margins.
 #[inline]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    ACTIVE.with(Cell::get)
 }
 
-/// Record one decision. No-op when recording is disabled; counted but
-/// not stored when the store is at [`CAPACITY`].
+/// Record one decision into this thread's recorder. No-op when none is
+/// installed or the recorder is at [`CAPACITY`].
 pub fn record(r: Record) {
-    if !enabled() {
-        return;
+    CURRENT.with(|c| {
+        if let Some(recorder) = c.borrow().as_ref() {
+            recorder.push(r);
+        }
+    });
+}
+
+/// This thread's recorder, for a worker thread to [`install`] so its
+/// decisions land in the same scope.
+pub fn current() -> Option<Arc<Recorder>> {
+    CURRENT.with(|c| c.borrow().clone())
+}
+
+/// Put back the recorder that was current before [`install`].
+#[must_use = "the recorder is installed only while the guard lives"]
+#[derive(Debug)]
+pub struct Installed {
+    previous: Option<Arc<Recorder>>,
+    /// Thread-bound: the guard restores *this* thread's recorder.
+    _thread: PhantomData<*const ()>,
+}
+
+impl Drop for Installed {
+    fn drop(&mut self) {
+        let previous = self.previous.take();
+        let _ = ACTIVE.try_with(|a| a.set(previous.is_some()));
+        let _ = CURRENT.try_with(|c| c.replace(previous));
     }
-    let mut store = store();
-    if store.records.len() >= CAPACITY {
-        store.dropped += 1;
-        return;
+}
+
+/// Make `recorder` this thread's recorder until the guard drops.
+pub fn install(recorder: Option<Arc<Recorder>>) -> Installed {
+    ACTIVE.with(|a| a.set(recorder.is_some()));
+    Installed {
+        previous: CURRENT.with(|c| c.replace(recorder)),
+        _thread: PhantomData,
     }
-    store.records.push(r);
 }
 
-/// Drop every record and the overflow count.
-pub fn reset() {
-    let mut store = store();
-    store.records.clear();
-    store.dropped = 0;
+/// A provenance scope: a fresh recorder, installed on the calling
+/// thread from [`Capture::start`] until [`Capture::finish`] takes its
+/// records. Runtime workers dispatched in between inherit it.
+#[must_use = "records are collected only while the capture lives"]
+#[derive(Debug)]
+pub struct Capture {
+    recorder: Arc<Recorder>,
+    _installed: Installed,
 }
 
-/// Records dropped since the last [`reset`] because the store was full.
-pub fn dropped() -> u64 {
-    store().dropped
+impl Capture {
+    /// Open a scope on the calling thread.
+    pub fn start() -> Capture {
+        let recorder = Arc::new(Recorder::default());
+        Capture {
+            _installed: install(Some(Arc::clone(&recorder))),
+            recorder,
+        }
+    }
+
+    /// Close the scope and take its records in canonical order.
+    pub fn finish(self) -> Vec<Record> {
+        self.recorder.drain()
+    }
 }
 
-/// Take all records in canonical order: sorted by every field and
-/// de-duplicated. Duplicates arise when concurrent workers race on the
-/// same cache miss and decode the same phrase twice — the set of
-/// decisions is what provenance reports, so the canonical form is
-/// identical at any thread count.
-pub fn drain() -> Vec<Record> {
-    let mut records = std::mem::take(&mut store().records);
-    records.sort_by(|a, b| a.sort_key().cmp(&b.sort_key()));
-    records.dedup();
-    records
+/// Run `f` in a provenance scope of its own; returns its result and
+/// the canonical records its decisions left.
+pub fn capture<T>(f: impl FnOnce() -> T) -> (T, Vec<Record>) {
+    let scope = Capture::start();
+    let out = f();
+    (out, scope.finish())
 }
 
 /// Render records as a JSON array (one object per record).
@@ -211,27 +280,24 @@ mod tests {
     }
 
     #[test]
-    fn disabled_recording_stores_nothing() {
-        let _lock = crate::tests_lock();
-        reset();
-        set_enabled(false);
+    fn recording_outside_a_scope_stores_nothing() {
+        assert!(!enabled());
         record(sample("ner.ingredient", "flour", 0, Some(1.5)));
-        assert!(drain().is_empty());
+        let ((), records) = capture(|| assert!(enabled()));
+        assert!(records.is_empty(), "{records:?}");
+        assert!(!enabled(), "the scope ended with the capture");
     }
 
     #[test]
-    fn drain_is_sorted_and_deduplicated() {
-        let _lock = crate::tests_lock();
-        reset();
-        set_enabled(true);
-        // Same phrase decoded twice (cache-miss race) plus another site,
-        // pushed out of order.
-        record(sample("ner.ingredient", "flour", 1, Some(0.5)));
-        record(sample("ner.ingredient", "cups", 0, Some(2.0)));
-        record(sample("ner.ingredient", "flour", 1, Some(0.5)));
-        record(sample("cache.ingredient", "2 cups flour", 0, None));
-        set_enabled(false);
-        let records = drain();
+    fn finish_is_sorted_and_deduplicated() {
+        let ((), records) = capture(|| {
+            // Same phrase decoded twice (cache-miss race) plus another
+            // site, pushed out of order.
+            record(sample("ner.ingredient", "flour", 1, Some(0.5)));
+            record(sample("ner.ingredient", "cups", 0, Some(2.0)));
+            record(sample("ner.ingredient", "flour", 1, Some(0.5)));
+            record(sample("cache.ingredient", "2 cups flour", 0, None));
+        });
         assert_eq!(records.len(), 3, "duplicate collapsed: {records:?}");
         assert_eq!(records[0].site, "cache.ingredient");
         assert_eq!(records[1].subject, "cups");
@@ -239,14 +305,77 @@ mod tests {
     }
 
     #[test]
+    fn concurrent_scopes_see_only_their_own_records_and_workers_inherit() {
+        let barrier = std::sync::Barrier::new(3);
+        let (mine, theirs) = std::thread::scope(|s| {
+            let scoped = |subject: &'static str| {
+                let barrier = &barrier;
+                s.spawn(move || {
+                    let ((), records) = capture(|| {
+                        barrier.wait();
+                        record(sample("ner.ingredient", subject, 0, None));
+                        // A worker this thread dispatches to records
+                        // into the same scope.
+                        let inherited = current();
+                        std::thread::scope(|w| {
+                            w.spawn(|| {
+                                let _scope = install(inherited);
+                                record(sample("ner.ingredient", subject, 1, None));
+                            });
+                        });
+                        barrier.wait();
+                    });
+                    records
+                })
+            };
+            let mine = scoped("flour");
+            let theirs = scoped("sugar");
+            // A thread with no recorder stores nothing, even while both
+            // scopes are open.
+            s.spawn(|| {
+                barrier.wait();
+                assert!(!enabled());
+                record(sample("ner.ingredient", "salt", 0, None));
+                barrier.wait();
+            });
+            (mine.join().unwrap(), theirs.join().unwrap())
+        });
+        let subjects = |records: &[Record]| -> Vec<(String, usize)> {
+            records
+                .iter()
+                .map(|r| (r.subject.clone(), r.index))
+                .collect()
+        };
+        assert_eq!(
+            subjects(&mine),
+            vec![("flour".to_string(), 0), ("flour".to_string(), 1)]
+        );
+        assert_eq!(
+            subjects(&theirs),
+            vec![("sugar".to_string(), 0), ("sugar".to_string(), 1)]
+        );
+    }
+
+    #[test]
+    fn nested_scopes_restore_the_outer_recorder() {
+        let (inner, outer) = capture(|| {
+            record(sample("ner.ingredient", "outer", 0, None));
+            let ((), inner) = capture(|| record(sample("ner.ingredient", "inner", 0, None)));
+            record(sample("ner.ingredient", "outer", 1, None));
+            inner
+        });
+        assert_eq!(inner.len(), 1);
+        assert_eq!(inner[0].subject, "inner");
+        assert_eq!(outer.len(), 2);
+        assert!(outer.iter().all(|r| r.subject == "outer"), "{outer:?}");
+    }
+
+    #[test]
     fn json_round_trip_validates_and_nonfinite_margins_are_null() {
-        let _lock = crate::tests_lock();
-        reset();
-        set_enabled(true);
-        record(sample("ner.ingredient", "flour", 0, Some(f64::INFINITY)));
-        record(sample("ner.ingredient", "cups", 1, Some(1.25)));
-        set_enabled(false);
-        let records = drain();
+        let ((), records) = capture(|| {
+            record(sample("ner.ingredient", "flour", 0, Some(f64::INFINITY)));
+            record(sample("ner.ingredient", "cups", 1, Some(1.25)));
+        });
         let block = to_json(&records);
         validate_provenance(&block).expect("valid block");
         assert!(block[0]["margin"].is_null(), "{block}");
@@ -276,21 +405,15 @@ mod tests {
     }
 
     #[test]
-    fn capacity_overflow_is_counted_not_stored() {
-        let _lock = crate::tests_lock();
-        reset();
-        set_enabled(true);
-        {
-            let mut s = store();
-            s.records.clear();
-            // Pretend the store is already full.
-            s.records
-                .extend((0..CAPACITY).map(|i| sample("ner.ingredient", "x", i, None)));
-        }
+    fn a_full_recorder_stores_nothing_more() {
+        let scope = Capture::start();
+        scope
+            .recorder
+            .records()
+            .extend((0..CAPACITY).map(|i| sample("ner.ingredient", "x", i, None)));
         record(sample("ner.ingredient", "overflow", 0, None));
-        set_enabled(false);
-        assert_eq!(dropped(), 1);
-        reset();
-        assert_eq!(dropped(), 0);
+        let records = scope.finish();
+        assert_eq!(records.len(), CAPACITY);
+        assert!(records.iter().all(|r| r.subject == "x"));
     }
 }

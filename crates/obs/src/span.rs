@@ -1,58 +1,106 @@
 //! Aggregating hierarchical spans.
 //!
 //! A span is a scope guard opened with [`enter`] (or the [`span!`]
-//! macro). Guards nest per thread: each records its wall time under the
+//! macro). Guards nest per thread: each records its tick cost under the
 //! *path* of currently open span names, and identical paths aggregate
-//! into a single `(count, total time)` cell rather than producing one
+//! into a single `(count, total_ticks)` cell rather than producing one
 //! record per event. That keeps memory O(distinct paths) — independent
 //! of corpus size — and, because nothing is ever logged in between,
 //! tracing cannot reorder or interleave any observable output.
+//!
+//! The aggregate has two views: the [`stage_tree`] (wall seconds per
+//! stage, the telemetry `stages` block) and the cost-attribution
+//! [`profile`] (total and self ticks per path, `--profile-out`). Ticks
+//! come from one clock, the monotonic clock unless [`set_clock`]
+//! installs another; under a frozen [`crate::window::VirtualClock`]
+//! the attribution is exact and byte-reproducible. The event tracer
+//! ([`crate::event`]) is an optional sink on the same guards.
 //!
 //! Aggregation is two-level: each thread accumulates into a private map
 //! (no synchronisation per span) and flushes it into the process-global
 //! map when the thread exits — the runtime's scoped workers exit at the
 //! end of every parallel call, so their data is merged by the time the
 //! caller regains control. The owning thread flushes explicitly via
-//! [`stage_tree`] / [`flush_local`] when telemetry is gathered.
+//! [`stage_tree`] / [`profile`] / [`flush_local`] when telemetry is
+//! gathered.
 //!
 //! [`span!`]: crate::span!
 
+use crate::profile::Profile;
+use crate::window::{Clock, MonotonicClock, TICKS_PER_SEC};
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
-use std::sync::Mutex;
-use std::time::Instant;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 
-/// Aggregated cell for one span path.
+/// Aggregated cell for one path: closed spans and their summed ticks.
 #[derive(Debug, Clone, Copy, Default)]
-struct SpanAgg {
-    count: u64,
-    total_ns: u64,
+pub(crate) struct Agg {
+    pub(crate) count: u64,
+    pub(crate) total_ticks: u64,
+}
+
+impl Agg {
+    pub(crate) fn add(&mut self, count: u64, ticks: u64) {
+        self.count += count;
+        self.total_ticks += ticks;
+    }
 }
 
 /// Process-global aggregation, keyed by the full path from the root
 /// span. `BTreeMap` so export order is deterministic and parents sort
 /// before their children.
-static GLOBAL_SPANS: Mutex<BTreeMap<Vec<&'static str>, SpanAgg>> = Mutex::new(BTreeMap::new());
+static GLOBAL_SPANS: Mutex<BTreeMap<Vec<&'static str>, Agg>> = Mutex::new(BTreeMap::new());
+
+/// The clock [`set_clock`] installed, with its label; `None` means the
+/// monotonic clock.
+static CLOCK: Mutex<Option<(Arc<dyn Clock>, String)>> = Mutex::new(None);
+
+/// Whether [`CLOCK`] holds a clock, so spans on the monotonic clock
+/// never take its lock. `Relaxed` suffices: the flag publishes nothing,
+/// it only says whether to take the lock, which orders the clock.
+static CLOCK_SET: AtomicBool = AtomicBool::new(false);
+
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+fn now_ticks() -> u64 {
+    if CLOCK_SET.load(Ordering::Relaxed) {
+        if let Some((clock, _)) = lock(&CLOCK).as_ref() {
+            return clock.now_ticks();
+        }
+    }
+    MonotonicClock.now_ticks()
+}
+
+/// Drive span ticks from `clock` (labelled for the exported
+/// [`Profile::clock`]), or from the monotonic clock again with `None`.
+/// Tests freeze a [`crate::window::VirtualClock`] here.
+pub fn set_clock(clock: Option<(Arc<dyn Clock>, &str)>) {
+    let mut slot = lock(&CLOCK);
+    *slot = clock.map(|(clock, label)| (clock, label.to_string()));
+    CLOCK_SET.store(slot.is_some(), Ordering::Relaxed);
+}
 
 /// Per-thread aggregation, flushed to [`GLOBAL_SPANS`] on thread exit.
 #[derive(Default)]
 struct LocalAggs {
-    map: RefCell<HashMap<Vec<&'static str>, SpanAgg>>,
+    map: RefCell<HashMap<Vec<&'static str>, Agg>>,
 }
 
 impl LocalAggs {
-    fn record(&self, path: &[&'static str], elapsed_ns: u64) {
+    fn record(&self, path: &[&'static str], ticks: u64) {
         let mut map = self.map.borrow_mut();
         if let Some(agg) = map.get_mut(path) {
-            agg.count += 1;
-            agg.total_ns += elapsed_ns;
+            agg.add(1, ticks);
         } else {
             map.insert(
                 path.to_vec(),
-                SpanAgg {
+                Agg {
                     count: 1,
-                    total_ns: elapsed_ns,
+                    total_ticks: ticks,
                 },
             );
         }
@@ -63,13 +111,12 @@ impl LocalAggs {
         if map.is_empty() {
             return;
         }
-        let mut global = GLOBAL_SPANS
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        let mut global = lock(&GLOBAL_SPANS);
         for (path, agg) in map.drain() {
-            let cell = global.entry(path).or_default();
-            cell.count += agg.count;
-            cell.total_ns += agg.total_ns;
+            global
+                .entry(path)
+                .or_default()
+                .add(agg.count, agg.total_ticks);
         }
     }
 }
@@ -88,17 +135,14 @@ thread_local! {
 }
 
 /// Guard returned by [`enter`]; records on drop. Inert (holds no start
-/// time) when tracing was disabled at entry. `traced` remembers whether
+/// tick) when tracing was disabled at entry. `traced` remembers whether
 /// the event tracer sampled this span's begin event, so exactly the
 /// matching end event is emitted on drop.
 #[must_use = "a span only measures the scope the guard lives in"]
 #[derive(Debug)]
 pub struct SpanGuard {
-    start: Option<Instant>,
+    start: Option<u64>,
     traced: bool,
-    /// Enter tick from the global profiler's clock, when it was active
-    /// at entry; the exit hook attributes the delta under the path.
-    prof_start: Option<u64>,
 }
 
 /// Open a span named `name` under the thread's currently open spans.
@@ -112,16 +156,13 @@ pub fn enter(name: &'static str) -> SpanGuard {
         return SpanGuard {
             start: None,
             traced: false,
-            prof_start: None,
         };
     }
     STACK.with(|s| s.borrow_mut().push(name));
     let traced = crate::event::on_span_enter(name);
-    let prof_start = crate::profile::on_enter();
     SpanGuard {
-        start: Some(Instant::now()),
+        start: Some(now_ticks()),
         traced,
-        prof_start,
     }
 }
 
@@ -130,7 +171,7 @@ impl Drop for SpanGuard {
         let Some(start) = self.start else {
             return;
         };
-        let elapsed_ns = start.elapsed().as_nanos() as u64;
+        let ticks = now_ticks().saturating_sub(start);
         STACK.with(|s| {
             let mut stack = s.borrow_mut();
             if self.traced {
@@ -140,10 +181,7 @@ impl Drop for SpanGuard {
             }
             // LOCAL may already be gone during thread teardown; spans
             // closing that late have nowhere to aggregate, so drop them.
-            let _ = LOCAL.try_with(|l| l.record(&stack, elapsed_ns));
-            if let Some(prof_start) = self.prof_start {
-                crate::profile::on_exit(&stack, prof_start);
-            }
+            let _ = LOCAL.try_with(|l| l.record(&stack, ticks));
             stack.pop();
         });
     }
@@ -151,19 +189,15 @@ impl Drop for SpanGuard {
 
 /// Flush the calling thread's span aggregates into the global map.
 /// Worker threads flush automatically on exit; the owning thread calls
-/// this (via [`stage_tree`]) before exporting.
+/// this (via [`stage_tree`] / [`profile`]) before exporting.
 pub fn flush_local() {
     let _ = LOCAL.try_with(|l| l.flush());
-    crate::profile::flush_local();
 }
 
 /// Drop every aggregated span, globally and on the calling thread.
 pub fn reset() {
     let _ = LOCAL.try_with(|l| l.map.borrow_mut().clear());
-    GLOBAL_SPANS
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-        .clear();
+    lock(&GLOBAL_SPANS).clear();
 }
 
 /// One node of the exported stage tree.
@@ -183,13 +217,11 @@ pub struct StageNode {
     pub children: Vec<StageNode>,
 }
 
-/// Export the aggregated spans as a stage tree (children sorted by
-/// name). Flushes the calling thread first.
+/// The aggregate as a stage tree (children sorted by name), with each
+/// stage's ticks in seconds. Flushes the calling thread first.
 pub fn stage_tree() -> Vec<StageNode> {
     flush_local();
-    let global = GLOBAL_SPANS
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner());
+    let global = lock(&GLOBAL_SPANS);
     let mut roots: Vec<StageNode> = Vec::new();
     for (path, agg) in global.iter() {
         let mut level = &mut roots;
@@ -208,7 +240,7 @@ pub fn stage_tree() -> Vec<StageNode> {
             };
             if depth == path.len() - 1 {
                 level[pos].count += agg.count;
-                level[pos].wall_s += agg.total_ns as f64 / 1e9;
+                level[pos].wall_s += agg.total_ticks as f64 / TICKS_PER_SEC as f64;
             }
             level = &mut level[pos].children;
         }
@@ -216,12 +248,32 @@ pub fn stage_tree() -> Vec<StageNode> {
     roots
 }
 
+/// The aggregate as a cost-attribution [`Profile`]: every path with its
+/// count, total ticks and self ticks, labelled with the span clock.
+/// Flushes the calling thread first.
+pub fn profile() -> Profile {
+    flush_local();
+    let label = match lock(&CLOCK).as_ref() {
+        Some((_, label)) => label.clone(),
+        None => "monotonic".to_string(),
+    };
+    let global = lock(&GLOBAL_SPANS);
+    Profile::from_cells(
+        &label,
+        global
+            .iter()
+            .map(|(path, agg)| (path.iter().map(|s| s.to_string()).collect(), *agg)),
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::window::VirtualClock;
 
     // Span tests toggle the process-wide ENABLED flag and share the
-    // process-wide span map, so they serialize on the crate test lock.
+    // process-wide span map and clock, so they serialize on the crate
+    // test lock.
     #[test]
     fn spans_aggregate_into_a_stage_tree() {
         let _lock = crate::tests_lock();
@@ -249,6 +301,44 @@ mod tests {
         assert_eq!(root.children[1].count, 3, "three tag spans aggregated");
         assert_eq!(root.children[0].children[0].name, "viterbi");
         assert_eq!(root.children[0].children[0].count, 1);
+    }
+
+    #[test]
+    fn both_views_read_exact_ticks_under_virtual_clock() {
+        let _lock = crate::tests_lock();
+        crate::set_enabled(true);
+        reset();
+        let clock = Arc::new(VirtualClock::new());
+        clock.set(1_000);
+        set_clock(Some((clock.clone(), "virtual")));
+        {
+            let _root = enter("extract");
+            clock.advance(10);
+            {
+                let _child = enter("ner.decode");
+                clock.advance(30);
+            }
+            clock.advance(5);
+        }
+        let profile = profile();
+        let tree = stage_tree();
+        set_clock(None);
+        crate::set_enabled(false);
+        reset();
+        assert_eq!(profile.clock, "virtual");
+        assert_eq!(profile.total_ticks, 45);
+        assert_eq!(profile.nodes.len(), 2, "{profile:?}");
+        let root = &profile.nodes[0];
+        assert_eq!(root.path, vec!["extract"]);
+        assert_eq!((root.count, root.total_ticks, root.self_ticks), (1, 45, 15));
+        let child = &profile.nodes[1];
+        assert_eq!(child.path, vec!["extract", "ner.decode"]);
+        assert_eq!(
+            (child.count, child.total_ticks, child.self_ticks),
+            (1, 30, 30)
+        );
+        assert_eq!(tree[0].wall_s, 45.0 / TICKS_PER_SEC as f64);
+        assert_eq!(tree[0].children[0].wall_s, 30.0 / TICKS_PER_SEC as f64);
     }
 
     #[test]
@@ -281,5 +371,6 @@ mod tests {
             let _g = enter("ghost");
         }
         assert!(stage_tree().is_empty(), "disabled span left a trace");
+        assert!(profile().is_empty(), "disabled span left a cost");
     }
 }

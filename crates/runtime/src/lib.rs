@@ -175,12 +175,14 @@ impl Runtime {
         let mut slots: Vec<Option<R>> = (0..n_chunks).map(|_| None).collect();
         let started = trace.then(Instant::now);
         let mut worker_busy_ns: Vec<u64> = Vec::new();
+        let provenance = recipe_obs::provenance::current();
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|w| {
-                    let (cursor, f, take) = (&cursor, &f, &take);
+                    let (cursor, f, take, provenance) = (&cursor, &f, &take, &provenance);
                     scope.spawn(move || {
                         recipe_obs::event::set_thread_name(&format!("runtime.worker.{w}"));
+                        let _provenance = recipe_obs::provenance::install(provenance.clone());
                         let mut local = Vec::new();
                         let mut busy_ns = 0u64;
                         loop {
@@ -313,16 +315,20 @@ impl Runtime {
         // `take`, not for the work.
         let slots: Mutex<Vec<Option<(usize, &mut [T])>>> =
             Mutex::new(items.chunks_mut(chunk_size).enumerate().map(Some).collect());
+        let provenance = recipe_obs::provenance::current();
         std::thread::scope(|scope| {
             for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= n_chunks {
-                        break;
-                    }
-                    let taken = slots.lock().expect("runtime slot lock")[i].take();
-                    if let Some((c, chunk)) = taken {
-                        f(c, chunk);
+                scope.spawn(|| {
+                    let _provenance = recipe_obs::provenance::install(provenance.clone());
+                    loop {
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        if i >= n_chunks {
+                            break;
+                        }
+                        let taken = slots.lock().expect("runtime slot lock")[i].take();
+                        if let Some((c, chunk)) = taken {
+                            f(c, chunk);
+                        }
                     }
                 });
             }

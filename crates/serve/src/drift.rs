@@ -1,11 +1,11 @@
 //! Prediction-drift monitoring: the live side of the frozen
 //! [`DriftReference`] an `.rma` artifact carries ([`recipe_core::artifact::KIND_DRIFT`]).
 //!
-//! The server samples every Nth `/extract` request, runs it with
-//! provenance recording on (serialized on the same lock as `/explain`
-//! — the provenance store is process-global), and streams the observed
-//! Viterbi-margin buckets, predicted labels, and cache hit/miss
-//! outcomes into sliding-window counters. A population-stability index
+//! The server samples every Nth `/extract` request, runs it in a
+//! provenance scope of its own (so the sample holds that request's
+//! decisions and no other's), and streams the observed Viterbi-margin
+//! buckets, predicted labels, and cache hit/miss outcomes into
+//! sliding-window counters. A population-stability index
 //! ([`recipe_obs::window::psi`]) against the reference distribution
 //! per window yields the `drift` block of `/metrics`: in-distribution
 //! traffic stays under the warn threshold while shifted phrase

@@ -31,17 +31,22 @@
 //!   process supervisors should use the endpoint.
 //! - **Observability.** Every request is minted an id at admission
 //!   (echoed as `X-Request-Id`) and stamped through its lifecycle
-//!   (queue wait → handle → write) on the injected [`Clock`];
-//!   sliding-window mirrors feed the telemetry `windows` block, a
-//!   multi-window multi-burn-rate [`SloEngine`] scores availability and
-//!   latency objectives, the slowest requests land in the `/admin/slow`
-//!   exemplar table, and sampled `/extract` traffic streams into the
-//!   [`drift::DriftMonitor`] for PSI scoring against the model's frozen
-//!   reference distribution. An always-on [`Profiler`] attributes every
-//!   request's queue-wait / handle / write ticks to its endpoint
-//!   (`GET /admin/profile`) — three uncontended map bumps per request,
-//!   cheap enough to leave on in production (the `sustained_load` bench
-//!   gates the overhead).
+//!   (queue wait → handle → write) on the injected [`Clock`]. One switch,
+//!   [`ServeConfig::monitoring`], covers the rest: sliding-window
+//!   mirrors feed the telemetry `windows` block, a multi-window
+//!   multi-burn-rate [`SloEngine`] scores availability and latency
+//!   objectives, the slowest requests land in the `/admin/slow`
+//!   exemplar table, every [`ServeConfig::drift_sample`]th `/extract`
+//!   streams its provenance into the [`drift::DriftMonitor`] for PSI
+//!   scoring against the model's frozen reference distribution, and a
+//!   [`Profiler`] attributes every request's queue-wait / handle / write
+//!   ticks to its endpoint (`GET /admin/profile`). The `sustained_load`
+//!   bench gates the switch's overhead.
+//! - **Exact explanations under load.** `/explain` and drift samples
+//!   record provenance in a scope of their own request
+//!   ([`recipe_obs::provenance::capture`]), so concurrent requests on
+//!   other connections neither wait for them nor leak records into
+//!   them.
 //!
 //! Endpoints: `POST /extract`, `POST /explain`, `GET /healthz`,
 //! `GET /metrics` (a schema-valid `recipe-mine stats` telemetry
@@ -104,9 +109,10 @@ pub struct ServeConfig {
     /// How long a keep-alive connection may sit idle waiting for its
     /// next request before the server closes it, milliseconds.
     pub keepalive_idle_ms: u64,
-    /// Collect windowed metrics, SLO outcomes, slow-request exemplars
-    /// and drift samples. Off leaves only the cumulative counters (the
-    /// `sustained_load` bench compares the two to gate overhead).
+    /// Collect windowed metrics, SLO outcomes, slow-request exemplars,
+    /// drift samples and the per-endpoint request profile. Off leaves
+    /// only the cumulative counters (the `sustained_load` bench compares
+    /// the two to gate overhead).
     pub monitoring: bool,
     /// Sample every Nth `/extract` request for drift scoring
     /// (`0` disables sampling).
@@ -116,10 +122,6 @@ pub struct ServeConfig {
     /// A request slower than this (seconds) counts against the latency
     /// SLO objective.
     pub slo_latency_s: f64,
-    /// Attribute per-request lifecycle ticks to endpoints in the
-    /// always-on [`Profiler`] behind `GET /admin/profile`. Independent
-    /// of `monitoring` so the profiler-overhead gate can isolate it.
-    pub profiling: bool,
 }
 
 impl Default for ServeConfig {
@@ -135,7 +137,6 @@ impl Default for ServeConfig {
             drift_sample: 8,
             slo_availability: 0.999,
             slo_latency_s: 0.25,
-            profiling: true,
         }
     }
 }
@@ -168,9 +169,6 @@ struct Shared {
     shutdown: AtomicBool,
     /// The listener's address; drain connects to it to wake `accept`.
     addr: SocketAddr,
-    /// Provenance is a process-global store, so `/explain` requests
-    /// (and drift sampling) must serialize across shards.
-    explain_lock: Mutex<()>,
     /// The tick source every stamp, window and SLO counter shares.
     clock: Arc<dyn Clock>,
     /// Request-id mint (ids start at 1).
@@ -189,7 +187,6 @@ struct Shared {
     monitoring: bool,
     /// Endpoint-level tick attribution behind `GET /admin/profile`.
     profiler: Profiler,
-    profiling: bool,
     /// The latency-SLO threshold requests are scored against, seconds.
     latency_slo_s: f64,
     keepalive_max_requests: u32,
@@ -260,7 +257,6 @@ impl Server {
             conns: Connections::new(MAX_CONNECTIONS),
             shutdown: AtomicBool::new(false),
             addr,
-            explain_lock: Mutex::new(()),
             clock,
             next_request_id: AtomicU64::new(0),
             slo,
@@ -271,7 +267,6 @@ impl Server {
             extract_seq: AtomicU64::new(0),
             monitoring: cfg.monitoring,
             profiler: Profiler::new("monotonic"),
-            profiling: cfg.profiling,
             latency_slo_s,
             keepalive_max_requests: cfg.keepalive_max_requests.max(1),
             // A zero read timeout is an error, not "no wait".
@@ -300,7 +295,7 @@ impl Server {
     }
 
     /// Snapshot the per-endpoint request profile (what
-    /// `GET /admin/profile` serves). Empty when profiling is off.
+    /// `GET /admin/profile` serves). Empty when monitoring is off.
     pub fn profile(&self) -> recipe_obs::Profile {
         self.shared.profiler.snapshot()
     }
@@ -566,8 +561,6 @@ fn serve_request(
                 total_s,
             },
         );
-    }
-    if shared.profiling {
         // Endpoint names are normalized (bounded cardinality even under
         // 404 scans), and the stage split mirrors the `/admin/slow`
         // lifecycle breakdown so the two views cross-check.
@@ -672,7 +665,7 @@ fn handle_request(shared: &Shared, model: &ServeModel, req: &http::Request) -> h
     counters.requests.inc();
     let resp = match (req.method.as_str(), req.path.as_str()) {
         ("POST", "/extract") => handle_extract(shared, model, &req.body),
-        ("POST", "/explain") => handle_explain(shared, model, &req.body),
+        ("POST", "/explain") => handle_explain(model, &req.body),
         ("GET", "/healthz") => handle_healthz(shared, model),
         ("GET", "/metrics") => handle_metrics(shared, model),
         ("GET", "/admin/slo") => handle_slo(shared),
@@ -724,11 +717,9 @@ fn phrase_at(parsed: &serde_json::Value, i: usize) -> &str {
 /// the batch CLI (`{"phrase", "entry"}` through [`entry_json`]).
 ///
 /// Every [`ServeConfig::drift_sample`]th request is additionally run
-/// with provenance recording on (only when the explain lock is free —
-/// sampling never blocks the hot path) and its margin/label/cache
-/// records stream into the [`DriftMonitor`]. Provenance recording
-/// never changes extraction output, so sampled responses stay
-/// byte-identical.
+/// in a provenance scope of its own, and its margin/label/cache records
+/// stream into the [`DriftMonitor`]. Provenance recording never changes
+/// extraction output, so sampled responses stay byte-identical.
 fn handle_extract(shared: &Shared, model: &ServeModel, body: &[u8]) -> http::Response {
     let (parsed, n) = match parse_phrases(body) {
         Ok(v) => v,
@@ -744,52 +735,38 @@ fn handle_extract(shared: &Shared, model: &ServeModel, body: &[u8]) -> http::Res
     } else {
         None
     };
-    let guard = drift
-        .as_ref()
-        .and_then(|_| shared.explain_lock.try_lock().ok());
-    let sampling = guard.is_some();
-    if sampling {
-        recipe_obs::provenance::reset();
-        recipe_obs::provenance::set_enabled(true);
-    }
-    let mut rows = Vec::with_capacity(n);
-    for i in 0..n {
-        let p = phrase_at(&parsed, i);
-        let e = model.extract_ingredient(p);
-        rows.push(json!({ "phrase": p, "entry": entry_json(&e) }));
-    }
-    if sampling {
-        recipe_obs::provenance::set_enabled(false);
-        let records = recipe_obs::provenance::drain();
-        if let Some(monitor) = &drift {
-            monitor.observe(&records);
+    let extract_all = || {
+        let mut rows = Vec::with_capacity(n);
+        for i in 0..n {
+            let p = phrase_at(&parsed, i);
+            let e = model.extract_ingredient(p);
+            rows.push(json!({ "phrase": p, "entry": entry_json(&e) }));
         }
-    }
-    drop(guard);
+        rows
+    };
+    let rows = match drift {
+        Some(monitor) => {
+            let (rows, records) = recipe_obs::provenance::capture(extract_all);
+            monitor.observe(&records);
+            rows
+        }
+        None => extract_all(),
+    };
     http::Response::json(200, render(&json!({ "results": rows })))
 }
 
 /// `POST /explain`: like the CLI `explain` command — per-phrase
-/// provenance (Viterbi margins, cache origin, dictionary votes). The
-/// provenance store is process-global, so requests serialize on
-/// `explain_lock` across shards.
-fn handle_explain(shared: &Shared, model: &ServeModel, body: &[u8]) -> http::Response {
+/// provenance (Viterbi margins, cache origin, dictionary votes), each
+/// phrase recorded in a scope of its own.
+fn handle_explain(model: &ServeModel, body: &[u8]) -> http::Response {
     let (parsed, n) = match parse_phrases(body) {
         Ok(v) => v,
         Err(resp) => return resp,
     };
-    let _guard = shared
-        .explain_lock
-        .lock()
-        .unwrap_or_else(|p| p.into_inner());
     let mut rows = Vec::with_capacity(n);
     for i in 0..n {
         let p = phrase_at(&parsed, i);
-        recipe_obs::provenance::reset();
-        recipe_obs::provenance::set_enabled(true);
-        let e = model.extract_ingredient(p);
-        recipe_obs::provenance::set_enabled(false);
-        let records = recipe_obs::provenance::drain();
+        let (e, records) = recipe_obs::provenance::capture(|| model.extract_ingredient(p));
         rows.push(json!({
             "phrase": p,
             "entry": entry_json(&e),
@@ -809,7 +786,6 @@ fn handle_healthz(shared: &Shared, model: &ServeModel) -> http::Response {
         "queue_depth": shared.gate.waiting(),
         "slo": shared.slo.level().as_str(),
         "monitoring": shared.monitoring,
-        "profiling": shared.profiling,
     });
     http::Response::json(200, render(&doc))
 }
@@ -856,7 +832,7 @@ fn handle_slo(shared: &Shared) -> http::Response {
 /// `GET /admin/profile`: the per-endpoint request profile — queue-wait
 /// / handle / write tick attribution per endpoint, schema-valid for
 /// [`recipe_obs::validate_profile`]. Empty (but still valid) when
-/// profiling is off.
+/// monitoring is off.
 fn handle_profile(shared: &Shared) -> http::Response {
     let profile = shared.profiler.snapshot();
     http::Response::json(200, render(&serde_json::to_value(&profile)))

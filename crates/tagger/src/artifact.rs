@@ -386,14 +386,12 @@ mod tests {
         let mut scratch = TagScratch::new();
         let mut out = Vec::new();
 
-        recipe_obs::provenance::reset();
-        recipe_obs::provenance::set_enabled(true);
-        compiled.tag_into(&words, &mut scratch, &mut out);
-        let from_compiled = recipe_obs::provenance::drain();
-        recipe_obs::provenance::set_enabled(true);
-        view.tag_into(&words, &mut scratch, &mut out);
-        let from_view = recipe_obs::provenance::drain();
-        recipe_obs::provenance::set_enabled(false);
+        let ((), from_compiled) = recipe_obs::provenance::capture(|| {
+            compiled.tag_into(&words, &mut scratch, &mut out);
+        });
+        let ((), from_view) = recipe_obs::provenance::capture(|| {
+            view.tag_into(&words, &mut scratch, &mut out);
+        });
 
         let key = |r: &recipe_obs::provenance::Record| {
             (

@@ -320,11 +320,9 @@ mod tests {
         let words: Vec<String> = vec!["mix".into(), "the".into(), "batter".into()];
 
         compiled.tag_into(&words, &mut scratch, &mut plain);
-        recipe_obs::provenance::reset();
-        recipe_obs::provenance::set_enabled(true);
-        compiled.tag_into(&words, &mut scratch, &mut explained);
-        recipe_obs::provenance::set_enabled(false);
-        let records = recipe_obs::provenance::drain();
+        let ((), records) = recipe_obs::provenance::capture(|| {
+            compiled.tag_into(&words, &mut scratch, &mut explained);
+        });
 
         assert_eq!(explained, plain, "provenance perturbed tagging");
         let ours: Vec<_> = records

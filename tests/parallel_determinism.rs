@@ -22,8 +22,8 @@ use std::sync::{Mutex, MutexGuard};
 const THREAD_COUNTS: [usize; 8] = [1, 2, 3, 4, 5, 6, 7, 8];
 
 /// Tests that flip the process-wide observability switches (metrics,
-/// event tracer, provenance) serialize on this lock so they cannot
-/// reset each other mid-run.
+/// event tracer) serialize on this lock so they cannot reset each
+/// other mid-run.
 fn obs_lock() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
@@ -491,7 +491,9 @@ fn extraction_is_byte_identical_with_provenance_on_and_off() {
     // The `--explain` provenance recorder must never perturb artifacts:
     // batch extraction is byte-identical with per-prediction decision
     // recording enabled or disabled, at 1/4/8 threads, cache on and off.
-    let _lock = obs_lock();
+    // The canonical records are the same at every thread count too,
+    // which holds only if the runtime's workers record into the scope
+    // of the thread that dispatched them.
     let corpus = RecipeCorpus::generate(&CorpusSpec::tiny(13));
     let pipeline = TrainedPipeline::train(&corpus, &PipelineConfig::fast());
     let reference: Vec<String> = corpus
@@ -499,21 +501,21 @@ fn extraction_is_byte_identical_with_provenance_on_and_off() {
         .iter()
         .map(|r| serde_json::to_string(&pipeline.model_recipe_reference(r)).unwrap())
         .collect();
-    for &t in &[1usize, 4, 8] {
-        for cache in [true, false] {
-            pipeline.set_cache_enabled(cache);
+    for cache in [true, false] {
+        pipeline.set_cache_enabled(cache);
+        let mut serial_records: Option<String> = None;
+        for &t in &[1usize, 4, 8] {
             for explain in [false, true, false] {
-                recipe_obs::provenance::reset();
-                recipe_obs::provenance::set_enabled(explain);
                 pipeline.inference.clear_caches();
-                let batch: Vec<String> = pipeline
-                    .model_recipes(&corpus.recipes, &Runtime::new(t))
-                    .iter()
-                    .map(|m| serde_json::to_string(m).unwrap())
-                    .collect();
-                if explain {
-                    let records = recipe_obs::provenance::drain();
-                    recipe_obs::provenance::set_enabled(false);
+                let run = || -> Vec<String> {
+                    pipeline
+                        .model_recipes(&corpus.recipes, &Runtime::new(t))
+                        .iter()
+                        .map(|m| serde_json::to_string(m).unwrap())
+                        .collect()
+                };
+                let batch = if explain {
+                    let (batch, records) = recipe_obs::provenance::capture(run);
                     assert!(
                         !records.is_empty(),
                         "provenance captured nothing at {t} threads (cache {cache})"
@@ -522,7 +524,27 @@ fn extraction_is_byte_identical_with_provenance_on_and_off() {
                     recipe_obs::validate_provenance(&block).unwrap_or_else(|e| {
                         panic!("invalid provenance at {t} threads (cache {cache}): {e}")
                     });
-                }
+                    // With the cache on, whether a phrase two recipes
+                    // share reads as a hit or a miss depends on which
+                    // worker reaches it first, so cache origins are
+                    // compared across thread counts only with it off.
+                    let comparable: Vec<_> = records
+                        .iter()
+                        .filter(|r| !cache || r.kind != "cache.lookup")
+                        .cloned()
+                        .collect();
+                    let text = serde_json::to_string(&recipe_obs::provenance::to_json(&comparable))
+                        .unwrap();
+                    let serial = serial_records.get_or_insert_with(|| text.clone());
+                    assert!(
+                        *serial == text,
+                        "canonical records at {t} threads differ from 1 thread (cache {cache})"
+                    );
+                    batch
+                } else {
+                    assert!(!recipe_obs::provenance::enabled());
+                    run()
+                };
                 assert_eq!(
                     batch, reference,
                     "extraction differs at {t} threads (cache {cache}, explain {explain})"
@@ -530,8 +552,6 @@ fn extraction_is_byte_identical_with_provenance_on_and_off() {
             }
         }
     }
-    recipe_obs::provenance::set_enabled(false);
-    recipe_obs::provenance::reset();
     pipeline.set_cache_enabled(true);
 }
 

@@ -38,26 +38,11 @@ fn reference_phrases(corpus: &RecipeCorpus) -> Vec<String> {
 }
 
 /// Serialize once (with a frozen drift reference, like `compile`
-/// does), open a fresh zero-copy view per server under test. Capture
-/// is serialized across tests — the provenance store is
-/// process-global.
+/// does), open a fresh zero-copy view per server under test.
 fn model_bytes(pipeline: &TrainedPipeline) -> Arc<[u8]> {
-    static CAPTURE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
     let corpus = corpus();
-    let reference = {
-        let _guard = CAPTURE_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-        capture_drift_reference(pipeline, &reference_phrases(&corpus))
-    };
+    let reference = capture_drift_reference(pipeline, &reference_phrases(&corpus));
     artifact_bytes_with_reference(pipeline, Some(&reference))
-        .expect("serialize artifact")
-        .into()
-}
-
-/// Serialize without a drift reference: a server over it samples no
-/// `/extract` traffic, so tests of the connection loop leave the
-/// process-global provenance store, which the drift tests read, alone.
-fn plain_model_bytes(pipeline: &TrainedPipeline) -> Arc<[u8]> {
-    artifact_bytes_with_reference(pipeline, None)
         .expect("serialize artifact")
         .into()
 }
@@ -635,6 +620,74 @@ fn drift_monitor_fires_on_shifted_phrases_and_stays_quiet_in_distribution() {
 }
 
 #[test]
+fn explain_is_exact_while_other_requests_extract() {
+    // Each `/explain` records provenance in a scope of its own request:
+    // while a client keeps other shards busy extracting other phrases,
+    // every explanation of a warm phrase is byte-identical to the one
+    // served with no other traffic. One shard serializes requests, so
+    // the race needs at least two.
+    let corpus = corpus();
+    let pipeline = train(&corpus);
+    let bytes = model_bytes(&pipeline);
+    let phrases: Vec<String> = corpus
+        .phrases(Site::AllRecipes)
+        .iter()
+        .map(|p| p.text())
+        .collect();
+    let target = phrases[0].clone();
+    let mut others: Vec<String> = Vec::new();
+    for p in &phrases {
+        if *p != target && !others.contains(p) && others.len() < 64 {
+            others.push(p.clone());
+        }
+    }
+    assert_eq!(others.len(), 64);
+    let explain = serde_json::to_string(&json!({ "phrases": [target] })).expect("body");
+
+    for shards in [2usize, 4, 8] {
+        let server = launch(&ephemeral(shards), rma_model(&bytes));
+        let addr = server.local_addr();
+        // Warm the cache, then take the idle body: a hit, no traffic.
+        let (status, _, _) = request(addr, "POST", "/explain", &explain);
+        assert_eq!(status, 200);
+        let (_, _, idle) = request(addr, "POST", "/explain", &explain);
+        assert!(idle.contains("\"cache.lookup\""), "{idle}");
+
+        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let client = {
+            let (stop, others) = (Arc::clone(&stop), others.clone());
+            std::thread::spawn(move || {
+                for phrase in others.iter().cycle() {
+                    if stop.load(std::sync::atomic::Ordering::Relaxed) {
+                        break;
+                    }
+                    let body =
+                        serde_json::to_string(&json!({ "phrases": [phrase] })).expect("body");
+                    let (status, _, _) = request(addr, "POST", "/extract", &body);
+                    assert_eq!(status, 200, "{phrase:?}");
+                }
+            })
+        };
+        let differing = (0..300)
+            .filter(|_| {
+                let (status, _, got) = request(addr, "POST", "/explain", &explain);
+                assert_eq!(status, 200);
+                got != idle
+            })
+            .count();
+        stop.store(true, std::sync::atomic::Ordering::Relaxed);
+        client.join().expect("extract client");
+        assert_eq!(
+            differing, 0,
+            "{shards} shards: {differing} of 300 /explain bodies differ from the idle one"
+        );
+
+        server.request_shutdown();
+        server.join();
+    }
+}
+
+#[test]
 fn admin_shutdown_drains_and_joins() {
     let corpus = corpus();
     let pipeline = train(&corpus);
@@ -655,7 +708,7 @@ fn admin_shutdown_drains_and_joins() {
 fn pipelined_requests_on_one_write_get_ordered_responses() {
     let corpus = corpus();
     let pipeline = train(&corpus);
-    let bytes = plain_model_bytes(&pipeline);
+    let bytes = model_bytes(&pipeline);
     let reference = rma_model(&bytes);
     let server = launch(&ephemeral(1), rma_model(&bytes));
     let addr = server.local_addr();
@@ -699,7 +752,7 @@ fn pipelined_requests_on_one_write_get_ordered_responses() {
 fn chunked_request_gets_one_501_and_the_connection_closes() {
     let corpus = corpus();
     let pipeline = train(&corpus);
-    let bytes = plain_model_bytes(&pipeline);
+    let bytes = model_bytes(&pipeline);
     let server = launch(&ephemeral(1), rma_model(&bytes));
     let addr = server.local_addr();
 
@@ -739,7 +792,7 @@ fn chunked_request_gets_one_501_and_the_connection_closes() {
 fn more_keep_alive_connections_than_shards_take_turns() {
     let corpus = corpus();
     let pipeline = train(&corpus);
-    let bytes = plain_model_bytes(&pipeline);
+    let bytes = model_bytes(&pipeline);
     let server = launch(&ephemeral(1), rma_model(&bytes));
     let addr = server.local_addr();
 
@@ -772,7 +825,7 @@ fn more_keep_alive_connections_than_shards_take_turns() {
 fn drain_does_not_wait_out_idle_keep_alive_connections() {
     let corpus = corpus();
     let pipeline = train(&corpus);
-    let bytes = plain_model_bytes(&pipeline);
+    let bytes = model_bytes(&pipeline);
     let cfg = ServeConfig {
         keepalive_idle_ms: 60_000,
         ..ephemeral(2)

@@ -299,10 +299,10 @@ fn profile_export_is_byte_identical_across_worker_counts() {
 
 #[test]
 fn span_hooked_profile_is_deterministic_under_frozen_virtual_clock() {
-    // The global span-hooked profiler under a frozen VirtualClock:
+    // The span aggregate's profile view under a frozen VirtualClock:
     // every span closes with a zero-tick delta, so the exported profile
-    // is a pure function of the span paths taken — byte-identical
-    // whatever the worker count.
+    // (and the stage tree beside it) is a pure function of the span
+    // paths taken — byte-identical whatever the worker count.
     let _lock = obs_lock();
     let mut json: Vec<String> = Vec::new();
     for &threads in &[1usize, 4, 8] {
@@ -310,16 +310,21 @@ fn span_hooked_profile_is_deterministic_under_frozen_virtual_clock() {
         recipe_obs::set_enabled(true);
         let clock = std::sync::Arc::new(recipe_obs::window::VirtualClock::new());
         clock.set(41 * recipe_obs::window::TICKS_PER_SEC);
-        recipe_obs::profile::start(clock, "virtual");
+        recipe_obs::span::set_clock(Some((clock, "virtual")));
         let items: Vec<u64> = (0..512).collect();
         let rt = Runtime::new(threads);
         rt.par_map(&items, |_, &i| {
             let _outer = recipe_obs::span::enter("extract");
             let _inner = recipe_obs::span::enter(if i % 2 == 0 { "parse" } else { "decode" });
         });
-        let profile = recipe_obs::profile::stop();
+        let profile = recipe_obs::span::profile();
+        let stages = recipe_obs::stage_tree();
+        recipe_obs::span::set_clock(None);
         recipe_obs::set_enabled(false);
         recipe_obs::reset();
+        assert_eq!(stages.len(), 1, "at {threads} threads: {stages:?}");
+        assert_eq!(stages[0].count, 512);
+        assert_eq!(stages[0].wall_s, 0.0, "frozen clock, zero wall time");
         assert_eq!(profile.clock, "virtual");
         let paths: Vec<String> = profile.nodes.iter().map(|n| n.path.join(";")).collect();
         assert_eq!(
