@@ -782,13 +782,12 @@ fn ra408_unbounded_io(file: &FileItems, f: &FnItem, out: &mut Vec<Diagnostic>) {
 
 /// RA409: raw clock reads on serving-reachable functions.
 ///
-/// The serving layer's windowed metrics, SLO burn rates and drift
-/// windows all rotate through one injected `Clock`, which is what lets
-/// tests drive bucket expiry deterministically with a virtual clock. A
-/// raw `Instant::now()`/`SystemTime::now()` on the same path is a
-/// second time source the virtual clock cannot move, so the behavior
-/// it feeds (deadlines, stamps, expiry) silently diverges from the
-/// windows under test. The obs crate (which *implements* the clock
+/// The serving layer's lifecycle stamps, uptime gauge and drift
+/// windows all run on one injected `Clock`, which is what lets tests
+/// drive them deterministically with a virtual clock. A raw
+/// `Instant::now()`/`SystemTime::now()` on the same path is a second
+/// time source the virtual clock cannot move, so the behavior it feeds
+/// (deadlines, stamps, expiry) silently diverges from what tests see. The obs crate (which *implements* the clock
 /// abstraction over `Instant`) and the bench harness are exempt.
 fn ra409_raw_clock_reads(file: &FileItems, f: &FnItem, out: &mut Vec<Diagnostic>) {
     if file.file.contains("obs/") || file.file.contains("bench") {
@@ -810,9 +809,9 @@ fn ra409_raw_clock_reads(file: &FileItems, f: &FnItem, out: &mut Vec<Diagnostic>
                 format!("{}:{}", file.file, site.line),
             )
             .with_note(
-                "windowed metrics, SLO burn rates and drift windows rotate through the \
-                 injected Clock; thread the shard's Arc<dyn Clock> (clock.now_ticks()) here \
-                 so virtual-clock tests can drive this path too",
+                "lifecycle stamps, the uptime gauge and drift windows run on the injected \
+                 Clock; thread the server's Arc<dyn Clock> (clock.now_ticks()) here so \
+                 virtual-clock tests can drive this path too",
             ),
         );
     }

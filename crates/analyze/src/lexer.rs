@@ -321,7 +321,13 @@ fn skip_string(bytes: &[u8], start: usize) -> (usize, u32) {
     let mut lines = 0u32;
     while i < bytes.len() {
         match bytes[i] {
-            b'\\' => i += 2,
+            b'\\' => {
+                // A `\`-newline continuation still ends a source line.
+                if bytes.get(i + 1) == Some(&b'\n') {
+                    lines += 1;
+                }
+                i += 2;
+            }
             b'\n' => {
                 lines += 1;
                 i += 1;
@@ -527,6 +533,28 @@ mod tests {
         assert_eq!(line_of("a"), 1);
         assert_eq!(line_of("b"), 4);
         assert_eq!(line_of("c"), 7);
+    }
+
+    #[test]
+    fn backslash_continued_strings_count_their_lines() {
+        // Each `\`-newline continuation ends a source line, so the
+        // finding below two of them lands on line 6, quoting line 6.
+        let src = "fn f() {\n    let a = \"one \\\n        two\";\n    let b = \"three \\\n        four\";\n    let x = y.expect(\"z\");\n}\n";
+        let lx = lex(src);
+        let expect = lx
+            .tokens
+            .iter()
+            .find(|t| &lx.src[t.span.clone()] == "expect")
+            .map(|t| t.line);
+        assert_eq!(expect, Some(6));
+        let diags = crate::source::scan_file("lib.rs", src);
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert_eq!(diags[0].location, "lib.rs:6");
+        assert!(
+            diags[0].message.contains("y.expect"),
+            "{}",
+            diags[0].message
+        );
     }
 
     #[test]

@@ -16,12 +16,13 @@
 //! Every target runs in paired trials across two server modes: a bare
 //! server (`qps{N}_nomon`: monitoring off) and the full plane
 //! (historical `qps{N}` names, so `recipe-mine bench-diff` trends stay
-//! continuous: windowed metrics, SLO tracking, slow-request exemplars,
-//! drift sampling against an embedded reference and the per-endpoint
-//! request profiler that backs `/admin/profile`). Outside smoke mode
-//! the run fails if monitoring inflates its target's best-of-trials p99
-//! by more than 5% (with a 200 µs absolute allowance for scheduler
-//! noise) — the overhead gate CI relies on.
+//! continuous: slow-request exemplars, drift sampling against an
+//! embedded reference and the per-endpoint request profiler served in
+//! `/metrics`). Both modes keep the one cumulative per-request record
+//! (latency histogram and SLO counts). Outside smoke mode the run fails
+//! if monitoring inflates its target's best-of-trials p99 by more than
+//! 5% (with a 200 µs absolute allowance for scheduler noise) — the
+//! overhead gate.
 //!
 //! Per target the report carries p50/p99/p999 (as the gated
 //! `median_s`/`p99_s`/`p999_s` fields), the shed rate (503 responses
@@ -90,7 +91,7 @@ fn main() {
     assert!(!phrases.is_empty(), "corpus produced no phrases");
 
     // Embed a drift reference so the monitoring-on run pays the full
-    // live plane: windowed metrics, SLO tracking AND drift scoring.
+    // live plane: slow table, request profile AND drift scoring.
     let reference = recipe_core::artifact::capture_drift_reference(&pipeline, &phrases);
     let bytes: Arc<[u8]> =
         recipe_core::artifact::artifact_bytes_with_reference(&pipeline, Some(&reference))

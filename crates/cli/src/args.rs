@@ -83,8 +83,7 @@ pub enum Command {
     },
     /// `serve --model <path> [--addr HOST:PORT] [--threads T]
     /// [--quantized] [--queue-cap N] [--no-monitoring] [--drift-sample N]
-    /// [--keepalive-max-requests N] [--keepalive-idle-ms MS]
-    /// [--slo-availability R] [--slo-latency-ms MS]`:
+    /// [--keepalive-max-requests N] [--keepalive-idle-ms MS]`:
     /// run the long-lived HTTP serving layer over the model (see
     /// `crates/serve`).
     Serve {
@@ -99,9 +98,8 @@ pub enum Command {
         /// Most requests waiting for a permit before shedding
         /// (admission control depth).
         queue_cap: usize,
-        /// Collect windowed metrics, SLO outcomes, slow-request
-        /// exemplars, drift samples and the request profile behind
-        /// `/admin/profile` (`--no-monitoring` disables all of them).
+        /// Collect slow-request exemplars, drift samples and the
+        /// request profile (`--no-monitoring` disables all of them).
         monitoring: bool,
         /// Sample every Nth `/extract` request for drift scoring
         /// (`0` disables sampling).
@@ -111,12 +109,6 @@ pub enum Command {
         /// Idle milliseconds before a keep-alive connection waiting
         /// for its next request is closed.
         keepalive_idle_ms: u64,
-        /// Availability SLO target in `(0.0, 1.0)` (good requests /
-        /// total), reflected in `/admin/slo`.
-        slo_availability: f64,
-        /// Per-request latency SLO threshold in milliseconds; requests
-        /// slower than this count against the latency objective.
-        slo_latency_ms: f64,
     },
     /// `bench-diff [--history PATH] [--benchmark NAME] [--warn-pct P]
     /// [--fail-pct P] [--smoke]`: compare the latest bench run in the
@@ -124,8 +116,9 @@ pub enum Command {
     BenchDiff(BenchDiffOptions),
     /// `monitor [--addr HOST:PORT] [--interval-ms N] [--count N]
     /// [--out PATH] [--once]`: poll a running server's `/metrics`,
-    /// `/admin/slo` and `/admin/profile`, render a live delta view,
-    /// and optionally append one JSONL snapshot per poll.
+    /// derive rates, interval percentiles and burn-rate levels from
+    /// successive scrapes, render one line per poll, and optionally
+    /// append one JSONL snapshot per poll.
     Monitor(MonitorOptions),
     /// `profile <profile.json> [--fold] [--diff <other.json>]
     /// [--top N]`: validate a profile document written by
@@ -357,26 +350,82 @@ impl fmt::Display for ArgsError {
 
 impl std::error::Error for ArgsError {}
 
-/// Split args into `--flag value` pairs plus positionals.
-fn split_flags(args: &[String]) -> (HashMap<String, String>, Vec<String>) {
+/// The value flags a subcommand parsed by [`split_flags`] accepts, and
+/// the most positionals it takes. `None` for subcommands that parse
+/// their own arguments.
+fn flag_spec(cmd: &str) -> Option<(&'static [&'static str], usize)> {
+    Some(match cmd {
+        "train" => (
+            &[
+                "out",
+                "recipes",
+                "seed",
+                "threads",
+                "metrics-out",
+                "trace-out",
+                "trace-sample",
+                "profile-out",
+            ],
+            0,
+        ),
+        "generate" => (&["out", "recipes", "seed"], 0),
+        "compile" => (&["out", "model", "recipes", "seed", "threads"], 0),
+        "extract" | "mine" => (
+            &[
+                "model",
+                "threads",
+                "metrics-out",
+                "trace-out",
+                "trace-sample",
+                "profile-out",
+            ],
+            usize::MAX,
+        ),
+        "explain" => (&["model", "threads"], usize::MAX),
+        "serve" => (
+            &[
+                "model",
+                "addr",
+                "threads",
+                "queue-cap",
+                "drift-sample",
+                "keepalive-max-requests",
+                "keepalive-idle-ms",
+            ],
+            0,
+        ),
+        "stats" => (&[], 1),
+        _ => return None,
+    })
+}
+
+/// Split args into `--flag value` pairs plus positionals. Every flag
+/// left here takes a value, so a flag outside `accepted` is rejected
+/// rather than paired with (and swallowing) the token after it.
+fn split_flags(
+    args: &[String],
+    (accepted, max_positionals): (&'static [&'static str], usize),
+) -> Result<(HashMap<String, String>, Vec<String>), ArgsError> {
     let mut flags = HashMap::new();
     let mut positional = Vec::new();
     let mut i = 0usize;
     while i < args.len() {
         if let Some(name) = args[i].strip_prefix("--") {
-            if i + 1 < args.len() {
-                flags.insert(name.to_string(), args[i + 1].clone());
-                i += 2;
-            } else {
-                flags.insert(name.to_string(), String::new());
-                i += 1;
-            }
+            let Some(&name) = accepted.iter().find(|&&a| a == name) else {
+                return Err(ArgsError::UnexpectedArg(args[i].clone()));
+            };
+            let value = args.get(i + 1).ok_or(ArgsError::MissingValue(name))?;
+            flags.insert(name.to_string(), value.clone());
+            i += 2;
         } else {
+            if positional.len() == max_positionals {
+                return Err(ArgsError::UnexpectedArg(args[i].clone()));
+            }
             positional.push(args[i].clone());
             i += 1;
         }
     }
-    (flags, positional)
+    Ok((flags, positional))
 }
 
 /// Parse a CLI invocation (without the program name).
@@ -438,7 +487,10 @@ pub fn parse_args(args: &[String]) -> Result<ParsedArgs, ArgsError> {
         return Err(ArgsError::UnexpectedArg("--no-monitoring".to_string()));
     }
     let rest = rest.as_slice();
-    let (flags, positional) = split_flags(rest);
+    let (flags, positional) = match flag_spec(cmd) {
+        Some(spec) => split_flags(rest, spec)?,
+        None => (HashMap::new(), Vec::new()),
+    };
     let command = match cmd.as_str() {
         "help" | "--help" | "-h" => Command::Help,
         "train" => {
@@ -559,26 +611,6 @@ pub fn parse_args(args: &[String]) -> Result<ParsedArgs, ArgsError> {
             }
         }
         "serve" => {
-            // Every flag left here takes a value, so an unknown one
-            // would silently swallow the token after it.
-            const SERVE_FLAGS: [&str; 9] = [
-                "model",
-                "addr",
-                "threads",
-                "queue-cap",
-                "drift-sample",
-                "keepalive-max-requests",
-                "keepalive-idle-ms",
-                "slo-availability",
-                "slo-latency-ms",
-            ];
-            let unknown = rest.iter().find(|a| {
-                a.strip_prefix("--")
-                    .is_some_and(|name| !SERVE_FLAGS.contains(&name))
-            });
-            if let Some(arg) = unknown.or(positional.first()) {
-                return Err(ArgsError::UnexpectedArg(arg.clone()));
-            }
             let model = flags
                 .get("model")
                 .cloned()
@@ -623,33 +655,6 @@ pub fn parse_args(args: &[String]) -> Result<ParsedArgs, ArgsError> {
                     .map_err(|_| ArgsError::BadValue("keepalive-idle-ms", v.clone()))?,
                 None => 5_000,
             };
-            let slo_availability = match flags.get("slo-availability") {
-                Some(v) => {
-                    let r: f64 = v
-                        .parse()
-                        .map_err(|_| ArgsError::BadValue("slo-availability", v.clone()))?;
-                    // 0.0 and 1.0 are excluded: a 0-target objective is
-                    // vacuous and a 1.0 target makes every error an
-                    // infinite burn rate.
-                    if !r.is_finite() || r <= 0.0 || r >= 1.0 {
-                        return Err(ArgsError::BadValue("slo-availability", v.clone()));
-                    }
-                    r
-                }
-                None => 0.999,
-            };
-            let slo_latency_ms = match flags.get("slo-latency-ms") {
-                Some(v) => {
-                    let ms: f64 = v
-                        .parse()
-                        .map_err(|_| ArgsError::BadValue("slo-latency-ms", v.clone()))?;
-                    if !ms.is_finite() || ms <= 0.0 {
-                        return Err(ArgsError::BadValue("slo-latency-ms", v.clone()));
-                    }
-                    ms
-                }
-                None => 250.0,
-            };
             Command::Serve {
                 model,
                 addr,
@@ -660,13 +665,11 @@ pub fn parse_args(args: &[String]) -> Result<ParsedArgs, ArgsError> {
                 drift_sample,
                 keepalive_max_requests,
                 keepalive_idle_ms,
-                slo_availability,
-                slo_latency_ms,
             }
         }
-        // `lint` and `bench-diff` have boolean flags, so they parse
-        // `rest` themselves instead of going through the `--flag value`
-        // pairing of `split_flags`.
+        // These have boolean flags, so they parse `rest` themselves
+        // instead of going through the `--flag value` pairing of
+        // `split_flags`.
         "lint" => Command::Lint(parse_lint(rest)?),
         "bench-diff" => Command::BenchDiff(parse_bench_diff(rest)?),
         "monitor" => Command::Monitor(parse_monitor(rest)?),
@@ -976,7 +979,6 @@ USAGE:
                       [--threads T] [--quantized] [--queue-cap N]
                       [--no-monitoring] [--drift-sample N]
                       [--keepalive-max-requests N] [--keepalive-idle-ms MS]
-                      [--slo-availability R] [--slo-latency-ms MS]
   recipe-mine monitor [--addr HOST:PORT] [--interval-ms N] [--count N]
                       [--out <snapshots.jsonl>] [--once]
   recipe-mine profile <profile.json> [--fold] [--diff <other.json>]
@@ -1023,7 +1025,7 @@ JSON; `recipe-mine profile` renders it, emits flamegraph-ready
 collapsed-stack lines (--fold), or ranks regressed stages against a
 second profile (--diff). bench-diff prints the same stage ranking when
 history runs carry profiles. A monitored server keeps a request
-profiler at GET /admin/profile.
+profile in the telemetry.profile block of GET /metrics.
 
 Linting: --source-only runs just the token-accurate source passes
 (RA3xx/RA4xx) — no training — so a full-workspace scan finishes in well
@@ -1058,20 +1060,22 @@ serve    run the long-lived HTTP/1.1 serving layer: one acceptor and
          one thread per connection, --threads requests handled at once
          (503 + Retry-After when too many wait). Endpoints:
          POST /extract, POST /explain, GET /healthz, GET /metrics
-         (windowed rates/tails + drift), GET /admin/slo, GET
-         /admin/slow, GET /admin/profile, POST /admin/reload
-         (hot-swap), POST /admin/shutdown (drain). --no-monitoring
-         turns the live observability plane off (windows, SLOs, slow
-         table, drift, request profile); --drift-sample N scores every Nth
-         extract request against the artifact's drift reference;
-         --keepalive-max-requests / --keepalive-idle-ms bound connection
-         reuse; --slo-availability / --slo-latency-ms set the SLO
-         targets reflected in /admin/slo
-monitor  poll a running server's /metrics, /admin/slo and
-         /admin/profile over one keep-alive connection, print a delta
-         line per poll (rates, windowed tails, SLO level, drift score)
-         and optionally append JSONL snapshots (--out); --once polls a
-         single time for CI
+         (cumulative counts, latency buckets, SLO good/count counters,
+         request profile, drift), GET /admin/slow, POST /admin/reload
+         (hot-swap), POST /admin/shutdown (drain). Each request is
+         recorded once; the SLO objectives are fixed (availability
+         99.9%, latency 99% within 250 ms). --no-monitoring turns off
+         the slow table, drift sampling and the request profile;
+         --drift-sample N scores every Nth extract request against the
+         artifact's drift reference; --keepalive-max-requests /
+         --keepalive-idle-ms bound connection reuse
+monitor  poll a running server's /metrics over one keep-alive
+         connection and derive, from successive scrapes, the interval's
+         request rate and p50/p99 and the multi-window burn-rate level;
+         print one line per poll and optionally append JSONL snapshots
+         (--out: the raw document plus the derived view); a counter
+         that falls marks a server restart; --once polls a single time
+         for CI and reads the since-start view
 profile  validate a --profile-out document and render per-stage tick
          attribution; --fold emits collapsed-stack lines (one
          `stage;path N` per line, flamegraph-ready); --diff ranks the
@@ -1824,8 +1828,6 @@ mod tests {
                 drift_sample: 8,
                 keepalive_max_requests: 64,
                 keepalive_idle_ms: 5_000,
-                slo_availability: 0.999,
-                slo_latency_ms: 250.0,
             }
         );
         let parsed = parse_args(&s(&[
@@ -1846,10 +1848,6 @@ mod tests {
             "8",
             "--keepalive-idle-ms",
             "1000",
-            "--slo-availability",
-            "0.99",
-            "--slo-latency-ms",
-            "100",
         ]))
         .unwrap();
         assert_eq!(
@@ -1864,8 +1862,6 @@ mod tests {
                 drift_sample: 0,
                 keepalive_max_requests: 8,
                 keepalive_idle_ms: 1000,
-                slo_availability: 0.99,
-                slo_latency_ms: 100.0,
             }
         );
         assert_eq!(
@@ -1899,14 +1895,6 @@ mod tests {
             ("queue-cap", "many"),
             ("keepalive-max-requests", "0"),
             ("keepalive-idle-ms", "soon"),
-            // SLO targets: availability must sit strictly inside (0, 1)
-            // and the latency threshold must be a positive duration.
-            ("slo-availability", "0"),
-            ("slo-availability", "1"),
-            ("slo-availability", "1.5"),
-            ("slo-availability", "NaN"),
-            ("slo-latency-ms", "0"),
-            ("slo-latency-ms", "-5"),
         ] {
             let dashed = format!("--{flag}");
             assert!(
@@ -1915,6 +1903,69 @@ mod tests {
                     Err(ArgsError::BadValue(_, _))
                 ),
                 "{flag}={bad}"
+            );
+        }
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected_in_every_subcommand() {
+        // An unknown flag no longer swallows the token after it, and a
+        // trailing one is no longer accepted.
+        for cmd in [
+            vec!["train", "--out", "m.json", "--bogus", "1"],
+            vec!["generate", "--out", "d", "--bogus"],
+            vec!["compile", "--out", "m.rma", "--bogus", "x"],
+            vec!["extract", "--model", "m.json", "--bogus", "2 cups flour"],
+            vec!["extract", "--model", "m.json", "2 cups flour", "--bogus"],
+            vec!["explain", "--model", "m.json", "--bogus", "1 egg"],
+            vec!["mine", "--model", "m.json", "--bogus", "r.txt"],
+            vec!["stats", "metrics.json", "--bogus"],
+            vec!["serve", "--model", "m.rma", "--bogus", "x"],
+        ] {
+            assert_eq!(
+                parse_args(&s(&cmd)),
+                Err(ArgsError::UnexpectedArg("--bogus".into())),
+                "{cmd:?}"
+            );
+        }
+        // The retired SLO knobs are unknown flags now.
+        for flag in ["--slo-availability", "--slo-latency-ms"] {
+            assert_eq!(
+                parse_args(&s(&["serve", "--model", "m.rma", flag, "0.99"])),
+                Err(ArgsError::UnexpectedArg(flag.into()))
+            );
+        }
+        // A flag accepted elsewhere is still unknown here.
+        assert_eq!(
+            parse_args(&s(&["generate", "--out", "d", "--threads", "2"])),
+            Err(ArgsError::UnexpectedArg("--threads".into()))
+        );
+    }
+
+    #[test]
+    fn value_flags_without_a_value_and_stray_positionals_are_rejected() {
+        assert_eq!(
+            parse_args(&s(&["extract", "2 cups", "--model"])),
+            Err(ArgsError::MissingValue("model"))
+        );
+        assert_eq!(
+            parse_args(&s(&["train", "--out"])),
+            Err(ArgsError::MissingValue("out"))
+        );
+        assert_eq!(
+            parse_args(&s(&["mine", "r.txt", "--threads"])),
+            Err(ArgsError::MissingValue("threads"))
+        );
+        for (cmd, stray) in [
+            (vec!["train", "--out", "m.json", "stray"], "stray"),
+            (vec!["generate", "--out", "d", "stray"], "stray"),
+            (vec!["compile", "--out", "m.rma", "stray"], "stray"),
+            (vec!["stats", "a.json", "b.json"], "b.json"),
+        ] {
+            assert_eq!(
+                parse_args(&s(&cmd)),
+                Err(ArgsError::UnexpectedArg(stray.into())),
+                "{cmd:?}"
             );
         }
     }

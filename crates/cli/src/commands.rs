@@ -132,8 +132,6 @@ pub fn run(command: &Command) -> Result<String, CliError> {
             drift_sample,
             keepalive_max_requests,
             keepalive_idle_ms,
-            slo_availability,
-            slo_latency_ms,
         } => {
             recipe_runtime::set_global_threads(*threads);
             serve(&ServeOpts {
@@ -146,8 +144,6 @@ pub fn run(command: &Command) -> Result<String, CliError> {
                 drift_sample: *drift_sample,
                 keepalive_max_requests: *keepalive_max_requests,
                 keepalive_idle_ms: *keepalive_idle_ms,
-                slo_availability: *slo_availability,
-                slo_latency_ms: *slo_latency_ms,
             })
         }
         Command::BenchDiff(opts) => bench_diff(opts),
@@ -546,8 +542,6 @@ struct ServeOpts<'a> {
     drift_sample: u64,
     keepalive_max_requests: u32,
     keepalive_idle_ms: u64,
-    slo_availability: f64,
-    slo_latency_ms: f64,
 }
 
 /// `recipe-mine serve`: run the HTTP serving layer over a loaded model
@@ -562,8 +556,6 @@ fn serve(opts: &ServeOpts<'_>) -> Result<String, CliError> {
         drift_sample: opts.drift_sample,
         keepalive_max_requests: opts.keepalive_max_requests,
         keepalive_idle_ms: opts.keepalive_idle_ms,
-        slo_availability: opts.slo_availability,
-        slo_latency_s: opts.slo_latency_ms / 1_000.0,
         ..recipe_serve::ServeConfig::default()
     };
     let server =
@@ -919,17 +911,34 @@ mod tests {
         assert_eq!(parsed["monitored"]["addr"], serde_json::json!(addr));
         // The compiled artifact carries a reference, so drift is live.
         assert_eq!(parsed["drift"]["active"], serde_json::json!(true));
-        assert_eq!(parsed["windows"]["window_s"], serde_json::json!(60.0));
-        assert!(parsed["slo_level"].as_str().is_some(), "{parsed:?}");
+        // One poll is the since-start view: the server has answered
+        // nothing before this scrape, so nothing burns.
+        assert_eq!(parsed["slo_level"], serde_json::json!("ok"), "{parsed:?}");
+        assert_eq!(parsed["view"]["interval"]["requests"], serde_json::json!(0));
+        assert_eq!(parsed["monitored"]["restarts"], serde_json::json!(0));
 
-        // One snapshot line, parseable, carrying both raw documents.
+        // One snapshot line, parseable, carrying the raw document and
+        // the view derived from it.
         let snaps = std::fs::read_to_string(&snap_path).unwrap();
         let lines: Vec<&str> = snaps.lines().collect();
         assert_eq!(lines.len(), 1, "{snaps}");
         let snap: serde_json::Value = serde_json::from_str(lines[0]).unwrap();
         assert_eq!(snap["poll"], serde_json::json!(0));
         recipe_obs::validate_document(&snap["metrics"]).expect("metrics snapshot valid");
-        recipe_obs::validate_slo_document(&snap["slo"]).expect("slo snapshot valid");
+        assert_eq!(snap["view"], parsed["view"]);
+
+        // Two more polls see the first scrape answered: the interval
+        // between them holds exactly that one `/metrics` request.
+        let out = run(&Command::Monitor(crate::args::MonitorOptions {
+            addr: addr.clone(),
+            count: Some(2),
+            interval_ms: 10,
+            ..crate::args::MonitorOptions::default()
+        }))
+        .unwrap();
+        let parsed: serde_json::Value = serde_json::from_str(&out).unwrap();
+        assert_eq!(parsed["view"]["interval"]["requests"], serde_json::json!(1));
+        assert!(parsed["profile"]["stages"].as_u64().unwrap() > 0, "{out}");
 
         server.request_shutdown();
         server.join();

@@ -1,17 +1,24 @@
 //! `recipe-mine monitor`: a terminal tail for a running server.
 //!
-//! Polls `GET /metrics`, `GET /admin/slo` and `GET /admin/profile`
-//! over one keep-alive connection (reconnecting transparently when the
-//! server's idle timeout closes it between polls), validates all three
-//! documents against their schemas, prints a one-line delta view per
-//! poll on stderr and optionally appends the raw snapshots as JSONL
-//! (`--out`). The final stdout JSON summarizes the run, so `--once`
-//! doubles as a CI probe: it exits nonzero when the server is
-//! unreachable or any document fails validation.
+//! Polls `GET /metrics` over one keep-alive connection (reconnecting
+//! transparently when the server's idle timeout closes it between
+//! polls) and validates each document as a telemetry document. The
+//! server keeps only cumulative counts, so the monitor keeps a bounded
+//! history of its scrapes and derives the rest with
+//! [`recipe_obs::slo::derive`]: the last interval's request rate and
+//! p50/p99, and the multi-window burn-rate level. A serving count or
+//! the uptime falling between two polls means the server restarted,
+//! and the history starts over ([`Scrape::restarted_since`]). Each poll prints one line on stderr and, with `--out`,
+//! appends the raw document and its derived view as JSONL. The final
+//! stdout JSON summarizes the run, so `--once` doubles as a CI probe: it
+//! exits nonzero when the server is unreachable or the document fails
+//! validation, and reads the since-start view.
 
 use crate::args::MonitorOptions;
 use crate::commands::CliError;
+use recipe_obs::slo::{derive, BurnWindow, Scrape, View};
 use serde_json::{json, Value};
+use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
@@ -115,37 +122,77 @@ impl HttpClient {
     }
 }
 
-/// The fields the delta view tracks between polls.
-#[derive(Default, Clone, Copy)]
-struct Sample {
-    requests: u64,
+/// Scrapes kept per burn window, like the slots of a ring: a window's
+/// far edge then lands within a thirtieth of its length.
+const SAMPLES_PER_WINDOW: f64 = 30.0;
+
+/// The scrapes of one server run, bounded: for each window length, a
+/// tier of scrapes at least a thirtieth of it apart that reaches just
+/// past it, plus the two newest for the interval view.
+struct History {
+    tiers: Vec<(f64, VecDeque<Scrape>)>,
+    newest: VecDeque<Scrape>,
 }
 
-/// Pull one windowed rate out of the `/metrics` document.
-fn window_rate(metrics: &Value, name: &str) -> (u64, f64) {
-    let r = &metrics["telemetry"]["windows"]["rates"][name];
-    (
-        r["count"].as_u64().unwrap_or(0),
-        r["per_s"].as_f64().unwrap_or(0.0),
-    )
+impl History {
+    fn new(pairs: &[BurnWindow]) -> Self {
+        History {
+            tiers: pairs
+                .iter()
+                .flat_map(|p| [p.long_s, p.short_s])
+                .map(|w| (w, VecDeque::new()))
+                .collect(),
+            newest: VecDeque::new(),
+        }
+    }
+
+    /// Add the newest scrape; true when it starts the history over
+    /// because the server restarted since the previous one.
+    fn add_scrape(&mut self, scrape: Scrape) -> bool {
+        let restarted = self
+            .newest
+            .back()
+            .is_some_and(|last| scrape.restarted_since(last));
+        if restarted {
+            self.newest.clear();
+            self.tiers.iter_mut().for_each(|(_, tier)| tier.clear());
+        }
+        for (w, tier) in &mut self.tiers {
+            if tier
+                .back()
+                .is_none_or(|b| scrape.t_s - b.t_s >= *w / SAMPLES_PER_WINDOW)
+            {
+                tier.push_back(scrape.clone());
+            }
+            while tier.get(1).is_some_and(|s| s.t_s <= scrape.t_s - *w) {
+                tier.pop_front();
+            }
+        }
+        if self.newest.len() == 2 {
+            self.newest.pop_front();
+        }
+        self.newest.push_back(scrape);
+        restarted
+    }
+
+    /// Every kept scrape, oldest first.
+    fn scrapes(&self) -> Vec<Scrape> {
+        let mut all: Vec<Scrape> = self
+            .tiers
+            .iter()
+            .flat_map(|(_, tier)| tier.iter())
+            .chain(&self.newest)
+            .cloned()
+            .collect();
+        all.sort_by(|a, b| a.t_s.total_cmp(&b.t_s));
+        all.dedup_by(|a, b| a.t_s == b.t_s);
+        all
+    }
 }
 
-/// Pull one windowed histogram quantile (seconds) out of `/metrics`.
-fn window_quantile(metrics: &Value, name: &str, q: &str) -> f64 {
-    metrics["telemetry"]["windows"]["histograms"][name][q]
-        .as_f64()
-        .unwrap_or(0.0)
-}
-
-/// Render the one-line delta view for a poll.
-fn render_line(elapsed_s: f64, metrics: &Value, slo: &Value, prev: Sample) -> (String, Sample) {
-    let (req, req_per_s) = window_rate(metrics, "serve.requests");
-    let (err, _) = window_rate(metrics, "serve.errors");
-    let (shed, _) = window_rate(metrics, "serve.shed");
-    let p50_ms = window_quantile(metrics, "serve.request.latency_s", "p50") * 1e3;
-    let p99_ms = window_quantile(metrics, "serve.request.latency_s", "p99") * 1e3;
-    let delta = req as i64 - prev.requests as i64;
-    let slo_level = slo["level"].as_str().unwrap_or("?");
+/// Render the one-line view of a poll.
+fn render_line(elapsed_s: f64, metrics: &Value, view: &View) -> String {
+    let i = &view.interval;
     let drift = &metrics["drift"];
     let drift_view = if drift["active"] == json!(true) {
         format!(
@@ -156,12 +203,18 @@ fn render_line(elapsed_s: f64, metrics: &Value, slo: &Value, prev: Sample) -> (S
     } else {
         "off".to_string()
     };
-    let line = format!(
-        "[{elapsed_s:7.1}s] req {req} in window ({req_per_s:.2}/s, {delta:+}) \
-         err {err} shed {shed} | p50 {p50_ms:.2}ms p99 {p99_ms:.2}ms | \
-         slo {slo_level} | drift {drift_view}"
-    );
-    (line, Sample { requests: req })
+    format!(
+        "[{elapsed_s:7.1}s] {} req in {:.1}s ({:.2}/s) err {} shed {} | \
+         p50 {:.2}ms p99 {:.2}ms | slo {} | drift {drift_view}",
+        i.requests,
+        i.seconds,
+        i.per_s,
+        i.errors,
+        i.shed,
+        i.p50_s * 1e3,
+        i.p99_s * 1e3,
+        view.level,
+    )
 }
 
 /// Run the monitor loop; returns the stdout summary JSON.
@@ -169,7 +222,9 @@ pub fn run_monitor(opts: &MonitorOptions) -> Result<String, CliError> {
     let mut client = HttpClient::new(&opts.addr);
     let polls = if opts.once { Some(1) } else { opts.count };
     let started = Instant::now();
-    let mut prev = Sample::default();
+    let pairs = BurnWindow::production();
+    let mut history = History::new(&pairs);
+    let mut restarts: u64 = 0;
     let mut done: u64 = 0;
 
     let mut out_file = match &opts.out {
@@ -183,30 +238,21 @@ pub fn run_monitor(opts: &MonitorOptions) -> Result<String, CliError> {
         None => None,
     };
 
-    let (last_metrics, last_slo, last_profile) = loop {
+    let (last_metrics, last_view) = loop {
         let (status, metrics) = client.get("/metrics")?;
         if status != 200 {
             return Err(CliError::Stats(format!("/metrics returned {status}")));
         }
         recipe_obs::validate_document(&metrics)
             .map_err(|e| CliError::Stats(format!("/metrics: {e}")))?;
-        let (status, slo) = client.get("/admin/slo")?;
-        if status != 200 {
-            return Err(CliError::Stats(format!("/admin/slo returned {status}")));
+        if history.add_scrape(Scrape::from_telemetry(&metrics["telemetry"])) {
+            restarts += 1;
+            eprintln!("server restarted: counts fell, history starts over");
         }
-        recipe_obs::validate_slo_document(&slo)
-            .map_err(|e| CliError::Stats(format!("/admin/slo: {e}")))?;
-        let (status, profile) = client.get("/admin/profile")?;
-        if status != 200 {
-            return Err(CliError::Stats(format!("/admin/profile returned {status}")));
-        }
-        recipe_obs::validate_profile(&profile)
-            .map_err(|e| CliError::Stats(format!("/admin/profile: {e}")))?;
+        let view = derive(&history.scrapes(), &pairs);
 
         let elapsed_s = started.elapsed().as_secs_f64();
-        let (line, sample) = render_line(elapsed_s, &metrics, &slo, prev);
-        eprintln!("{line}");
-        prev = sample;
+        eprintln!("{}", render_line(elapsed_s, &metrics, &view));
 
         if let Some(f) = out_file.as_mut() {
             let snapshot = json!({
@@ -214,8 +260,7 @@ pub fn run_monitor(opts: &MonitorOptions) -> Result<String, CliError> {
                 "elapsed_s": elapsed_s,
                 "addr": opts.addr,
                 "metrics": metrics,
-                "slo": slo,
-                "profile": profile,
+                "view": view,
             });
             let rendered = serde_json::to_string(&snapshot)
                 .map_err(|e| CliError::Stats(format!("snapshot serialization: {e}")))?;
@@ -225,19 +270,20 @@ pub fn run_monitor(opts: &MonitorOptions) -> Result<String, CliError> {
 
         done += 1;
         if polls.map(|n| done >= n).unwrap_or(false) {
-            break (metrics, slo, profile);
+            break (metrics, view);
         }
         std::thread::sleep(Duration::from_millis(opts.interval_ms));
     };
 
+    let profile = &last_metrics["telemetry"]["profile"];
     let summary = json!({
-        "monitored": { "addr": opts.addr, "polls": done },
-        "slo_level": last_slo["level"],
+        "monitored": { "addr": opts.addr, "polls": done, "restarts": restarts },
+        "slo_level": last_view.level,
+        "view": last_view,
         "drift": last_metrics["drift"],
-        "windows": last_metrics["telemetry"]["windows"],
         "profile": {
-            "stages": last_profile["nodes"].as_array().map(|n| n.len()).unwrap_or(0),
-            "total_ticks": last_profile["total_ticks"],
+            "stages": profile["nodes"].as_array().map(|n| n.len()).unwrap_or(0),
+            "total_ticks": profile["total_ticks"],
         },
     });
     let rendered = serde_json::to_string_pretty(&summary)
@@ -249,19 +295,22 @@ pub fn run_monitor(opts: &MonitorOptions) -> Result<String, CliError> {
 mod tests {
     use super::*;
 
-    fn metrics_doc(requests: u64) -> Value {
+    /// A `/metrics` document after `requests` answers at `uptime_s`,
+    /// `bad` of them unavailable, all within the first latency bucket.
+    fn metrics_doc(uptime_s: f64, requests: u64, bad: u64) -> Value {
         json!({
             "telemetry": {
-                "windows": {
-                    "window_s": 60.0,
-                    "rates": {
-                        "serve.requests": { "count": requests, "per_s": requests as f64 / 60.0 },
-                        "serve.errors": { "count": 0, "per_s": 0.0 },
-                        "serve.shed": { "count": 0, "per_s": 0.0 },
-                    },
-                    "histograms": {
-                        "serve.request.latency_s":
-                            { "count": requests, "p50": 0.001, "p99": 0.004, "p999": 0.004 },
+                "counters": {
+                    "serve.shed": 0,
+                    "slo.availability.count": requests,
+                    "slo.availability.good": requests - bad,
+                    "slo.latency.count": requests,
+                    "slo.latency.good": requests,
+                },
+                "gauges": { "serve.uptime_s": uptime_s },
+                "histograms": {
+                    "serve.request.latency_s": {
+                        "count": requests, "bounds": [0.001, 0.004], "buckets": [requests, 0, 0],
                     },
                 },
             },
@@ -269,28 +318,83 @@ mod tests {
         })
     }
 
+    fn poll(history: &mut History, doc: &Value) -> (bool, View) {
+        let restarted = history.add_scrape(Scrape::from_telemetry(&doc["telemetry"]));
+        (
+            restarted,
+            derive(&history.scrapes(), &BurnWindow::production()),
+        )
+    }
+
     #[test]
-    fn delta_line_tracks_windowed_requests() {
-        let slo = json!({ "level": "ok" });
-        let (line, s) = render_line(1.0, &metrics_doc(60), &slo, Sample::default());
-        assert!(line.contains("req 60 in window"), "{line}");
-        assert!(line.contains("+60"), "{line}");
+    fn line_shows_the_interval_between_polls() {
+        let mut history = History::new(&BurnWindow::production());
+        let first = metrics_doc(10.0, 60, 0);
+        let (_, view) = poll(&mut history, &first);
+        // One scrape: the since-start view.
+        let line = render_line(1.0, &first, &view);
+        assert!(line.contains("60 req in 10.0s (6.00/s)"), "{line}");
         assert!(line.contains("slo ok"), "{line}");
         assert!(line.contains("drift stable (0.020)"), "{line}");
-        // The next poll saw a rotated-down window: the delta goes negative.
-        let (line, _) = render_line(2.0, &metrics_doc(40), &slo, s);
-        assert!(line.contains("-20"), "{line}");
-        assert!(line.contains("p99 4.00ms"), "{line}");
+        let second = metrics_doc(12.0, 100, 0);
+        let (_, view) = poll(&mut history, &second);
+        let line = render_line(3.0, &second, &view);
+        assert!(line.contains("40 req in 2.0s (20.00/s)"), "{line}");
+        assert!(line.contains("p99 1.00ms"), "{line}");
+    }
+
+    #[test]
+    fn falling_counts_restart_the_history() {
+        let mut history = History::new(&BurnWindow::production());
+        let (restarted, _) = poll(&mut history, &metrics_doc(100.0, 5000, 100));
+        assert!(!restarted);
+        // The new server run starts at zero: its first poll reads the
+        // since-start view, not a negative delta against the old run.
+        let (restarted, view) = poll(&mut history, &metrics_doc(2.0, 40, 0));
+        assert!(restarted);
+        assert_eq!(view.interval.requests, 40);
+        assert_eq!(view.interval.per_s, 20.0);
+        assert_eq!(view.level, "ok", "the old run's burn is gone");
+        assert_eq!(history.scrapes().len(), 1);
+    }
+
+    #[test]
+    fn burst_of_bad_requests_reads_critical() {
+        let mut history = History::new(&BurnWindow::production());
+        poll(&mut history, &metrics_doc(30.0, 1000, 0));
+        let (_, view) = poll(&mut history, &metrics_doc(32.0, 1100, 50));
+        assert_eq!(view.level, "critical", "{view:?}");
+    }
+
+    #[test]
+    fn history_stays_bounded_per_window() {
+        let mut history = History::new(&BurnWindow::production());
+        // A week of polls every 2 s: every tier keeps about thirty.
+        let mut t = 0.0;
+        for _ in 0..302_400 {
+            t += 2.0;
+            history.add_scrape(Scrape {
+                t_s: t,
+                ..Scrape::default()
+            });
+        }
+        let kept = history.scrapes().len();
+        assert!(kept <= 4 * 32 + 2, "{kept} scrapes kept");
+        // The 3-day window still reaches back at least 3 days.
+        let oldest = history.scrapes()[0].t_s;
+        assert!(t - oldest >= 259_200.0, "{}", t - oldest);
     }
 
     #[test]
     fn inactive_drift_renders_off() {
-        let doc = json!({
-            "telemetry": metrics_doc(1)["telemetry"],
-            "drift": { "active": false },
-        });
-        let (line, _) = render_line(0.0, &doc, &json!({"level": "ok"}), Sample::default());
-        assert!(line.contains("drift off"), "{line}");
+        let mut doc = metrics_doc(1.0, 1, 0);
+        if let Value::Object(entries) = &mut doc {
+            entries.retain(|(k, _)| k != "drift");
+            entries.push(("drift".to_string(), json!({ "active": false })));
+        }
+        let mut history = History::new(&BurnWindow::production());
+        let (_, view) = poll(&mut history, &doc);
+        assert!(render_line(0.0, &doc, &view).contains("drift off"));
     }
 
     #[test]

@@ -24,22 +24,23 @@
 //!   `--trace-sample`).
 //!
 //! - **Telemetry export** ([`report`]): a serializable [`Telemetry`]
-//!   snapshot (stage tree, counters, gauges, histogram summaries,
-//!   series, throughput, windows, profile) plus a human renderer and a
-//!   schema validator for the `--metrics-out` JSON documents written by
-//!   the CLI.
+//!   snapshot (stage tree, counters, gauges, histogram summaries with
+//!   their cumulative buckets, series, throughput, profile) plus a human
+//!   renderer and a schema validator for the `--metrics-out` and
+//!   `/metrics` JSON documents.
 //!
 //! - **Cost attribution** ([`profile`]): the [`Profile`] model filled
 //!   by the span aggregate or by an instanced [`Profiler`] (the
-//!   server's `/admin/profile`), a collapsed-stack (flamegraph-folded)
-//!   exporter, and the profile differ that lets `bench-diff` name
-//!   regressed stages.
+//!   server's request profile in `/metrics`), a collapsed-stack
+//!   (flamegraph-folded) exporter, and the profile differ that lets
+//!   `bench-diff` name regressed stages.
 //!
-//! - **Windowed metrics & SLOs** ([`window`], [`slo`]): ring-of-bucket
-//!   sliding windows over an injectable [`window::Clock`] (monotonic in
-//!   production, virtual in tests) feeding rolling rates, windowed tail
-//!   percentiles, and the multi-window multi-burn-rate SLO engine
-//!   behind the server's `/admin/slo`.
+//! - **Clocks, drift windows & SLOs** ([`window`], [`slo`]): an
+//!   injectable [`window::Clock`] (monotonic in production, virtual in
+//!   tests), the ring-of-bucket [`WindowedCounter`] behind drift
+//!   scoring, and the multi-window multi-burn-rate evaluation that a
+//!   reader of `/metrics` runs over successive cumulative scrapes
+//!   (`recipe-mine monitor`).
 //!
 //! - **Prediction provenance** ([`provenance`]): canonical,
 //!   deterministic records of per-token Viterbi margins, cache
@@ -85,11 +86,10 @@ pub use metrics::{
     RegistrySnapshot, SampleSummary, Series, DEFAULT_COUNT_BOUNDS, DEFAULT_LATENCY_BOUNDS,
 };
 pub use report::{render_human, validate_document, validate_telemetry, Telemetry};
-pub use slo::{validate_slo_document, BurnWindow, Objective, SloEngine, SloLevel};
+pub use slo::{BurnWindow, Objective, Scrape, SloLevel};
 pub use span::{enter, stage_tree, SpanGuard, StageNode};
 pub use window::{
-    psi, Clock, MonotonicClock, VirtualClock, WindowRate, WindowSet, WindowSpec, WindowedCounter,
-    WindowedHistogram, WindowsSnapshot, TICKS_PER_SEC,
+    psi, Clock, MonotonicClock, VirtualClock, WindowSpec, WindowedCounter, TICKS_PER_SEC,
 };
 
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -205,35 +205,9 @@ impl Histogram {
     }
 
     /// The quantile `q` in `[0, 1]`, linearly interpolated inside the
-    /// winning bucket. Returns `0.0` for an empty histogram; the
-    /// overflow bucket reports its lower bound (the last configured
-    /// bound — the histogram has no information beyond it).
+    /// winning bucket ([`crate::window::quantile_from_counts`]).
     pub fn quantile(&self, q: f64) -> f64 {
-        let counts = self.bucket_counts();
-        let total: u64 = counts.iter().sum();
-        if total == 0 {
-            return 0.0;
-        }
-        let rank = (q.clamp(0.0, 1.0) * (total.saturating_sub(1)) as f64).round() as u64;
-        let mut seen = 0u64;
-        for (i, &c) in counts.iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
-            if rank < seen + c {
-                if i >= self.bounds.len() {
-                    return self.bounds[self.bounds.len() - 1];
-                }
-                let lo = if i == 0 { 0.0 } else { self.bounds[i - 1] };
-                let hi = self.bounds[i];
-                // Position of the target rank inside this bucket, in
-                // (0, 1]: rank seen is the first sample of the bucket.
-                let frac = (rank - seen + 1) as f64 / c as f64;
-                return lo + (hi - lo) * frac;
-            }
-            seen += c;
-        }
-        self.bounds[self.bounds.len() - 1]
+        crate::window::quantile_from_counts(&self.bounds, &self.bucket_counts(), q)
     }
 
     /// Smallest recorded sample (`0.0` when empty).
@@ -253,15 +227,19 @@ impl Histogram {
     pub fn snapshot(&self) -> HistogramSnapshot {
         let count = self.count();
         let sum = self.sum();
+        let buckets = self.bucket_counts();
+        let q = |q| crate::window::quantile_from_counts(&self.bounds, &buckets, q);
         HistogramSnapshot {
             count,
             sum,
             mean: if count == 0 { 0.0 } else { sum / count as f64 },
             min: self.min(),
             max: self.max(),
-            p50: self.quantile(0.50),
-            p90: self.quantile(0.90),
-            p99: self.quantile(0.99),
+            p50: q(0.50),
+            p90: q(0.90),
+            p99: q(0.99),
+            bounds: self.bounds.clone(),
+            buckets,
         }
     }
 
@@ -297,6 +275,11 @@ pub struct HistogramSnapshot {
     pub p90: f64,
     /// 99th percentile.
     pub p99: f64,
+    /// Bucket upper bounds (overflow excluded).
+    pub bounds: Vec<f64>,
+    /// Cumulative per-bucket counts, overflow last: a reader takes the
+    /// difference of two scrapes to get an interval's quantiles.
+    pub buckets: Vec<u64>,
 }
 
 /// A bounded, ordered sequence of `f64` observations (e.g. the K-Means

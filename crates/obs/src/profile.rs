@@ -9,7 +9,7 @@
 //! 2. An **instanced [`Profiler`]** for components that attribute cost
 //!    outside the span machinery — the server records queue/handle/write
 //!    tick deltas per endpoint into one of these and serves the snapshot
-//!    at `GET /admin/profile`.
+//!    as the `telemetry.profile` block of `GET /metrics`.
 //!
 //! Both export a schema-versioned [`Profile`]: a flat, path-sorted list
 //! of stages carrying `count`, `total_ticks` and `self_ticks` (total

@@ -5,17 +5,18 @@
 use crate::metrics::{HistogramSnapshot, Registry, RegistrySnapshot};
 use crate::profile::Profile;
 use crate::span::{stage_tree, StageNode};
-use crate::window::WindowsSnapshot;
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// Version of the `--metrics-out` document layout; bumped on breaking
-/// schema changes. v2 added the `windows` block (rolling rates and
-/// windowed tail percentiles); v3 added the `profile` block (per-stage
-/// cost attribution); the cumulative blocks are unchanged.
-pub const SCHEMA_VERSION: u64 = 3;
+/// Version of the `--metrics-out` and `/metrics` document layout;
+/// bumped on breaking schema changes. v2 added the `windows` block, v3
+/// the `profile` block (per-stage cost attribution). v4 dropped
+/// `windows` and gave each histogram its `bounds` and cumulative
+/// `buckets`, from which a reader of two documents derives the window
+/// between them ([`crate::slo`]).
+pub const SCHEMA_VERSION: u64 = 4;
 
 /// A point-in-time export of everything the observability layer knows:
 /// the aggregated stage tree plus a merged snapshot of the global
@@ -38,10 +39,6 @@ pub struct Telemetry {
     /// Derived rates filled in by the caller (items per second, wall
     /// seconds, …), keyed by measure name.
     pub throughput: BTreeMap<String, f64>,
-    /// Sliding-window view (rolling rates, windowed tails) filled in by
-    /// callers that maintain a [`crate::window::WindowSet`] — the
-    /// server does; batch commands export an empty block.
-    pub windows: WindowsSnapshot,
     /// Per-stage cost attribution ([`crate::profile`]), filled in by
     /// callers that ran a profiler (`--profile-out`, the server's
     /// always-on endpoint profiler); empty otherwise.
@@ -70,7 +67,6 @@ impl Telemetry {
             histograms: snap.histograms,
             series: snap.series,
             throughput: BTreeMap::new(),
-            windows: WindowsSnapshot::default(),
             profile: Profile::default(),
         }
     }
@@ -163,22 +159,6 @@ pub fn render_human(t: &Telemetry) -> String {
             let _ = writeln!(out, "  {name:<40} {v:>14.2}");
         }
     }
-    if !(t.windows.rates.is_empty() && t.windows.histograms.is_empty()) {
-        let _ = writeln!(out, "windows ({}s):", t.windows.window_s);
-        for (name, r) in &t.windows.rates {
-            let _ = writeln!(out, "  {name:<40} {:>10}  {:>10.2}/s", r.count, r.per_s);
-        }
-        for (name, h) in &t.windows.histograms {
-            let _ = writeln!(
-                out,
-                "  {name:<40} n={:<8} p50={} p99={} p999={}",
-                h.count,
-                fmt_secs(h.p50),
-                fmt_secs(h.p99),
-                fmt_secs(h.p999),
-            );
-        }
-    }
     if !t.profile.is_empty() {
         let _ = writeln!(
             out,
@@ -204,33 +184,43 @@ fn expect_object<'v>(v: &'v Value, what: &str) -> Result<&'v Vec<(String, Value)
         .ok_or_else(|| format!("{what} must be an object"))
 }
 
+/// Field `name` of the object `v`, which `what` names in errors.
+fn field<'v>(v: &'v Value, what: &str, name: &str) -> Result<&'v Value, String> {
+    expect_object(v, what)?;
+    v.get(name)
+        .ok_or_else(|| format!("{what} missing field `{name}`"))
+}
+
+fn expect_number(v: &Value, what: &str) -> Result<(), String> {
+    match v.as_f64() {
+        Some(_) => Ok(()),
+        None => Err(format!("{what} must be a number")),
+    }
+}
+
 fn expect_number_map(v: &Value, what: &str) -> Result<(), String> {
     for (key, val) in expect_object(v, what)? {
-        if val.as_f64().is_none() {
-            return Err(format!("{what}.{key} must be a number"));
-        }
+        expect_number(val, &format!("{what}.{key}"))?;
     }
     Ok(())
 }
 
+/// An array of numbers; returns its length.
+fn expect_numbers(v: &Value, what: &str) -> Result<usize, String> {
+    match v.as_array() {
+        Some(a) if a.iter().all(|x| x.as_f64().is_some()) => Ok(a.len()),
+        _ => Err(format!("{what} must be an array of numbers")),
+    }
+}
+
 fn validate_stage(v: &Value, path: &str) -> Result<(), String> {
-    let obj = expect_object(v, path)?;
-    let field = |name: &str| {
-        obj.iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| v)
-            .ok_or_else(|| format!("{path} missing field `{name}`"))
-    };
-    if field("name")?.as_str().is_none() {
+    if field(v, path, "name")?.as_str().is_none() {
         return Err(format!("{path}.name must be a string"));
     }
-    if field("count")?.as_f64().is_none() {
-        return Err(format!("{path}.count must be a number"));
+    for want in ["count", "wall_s"] {
+        expect_number(field(v, path, want)?, &format!("{path}.{want}"))?;
     }
-    if field("wall_s")?.as_f64().is_none() {
-        return Err(format!("{path}.wall_s must be a number"));
-    }
-    let children = field("children")?
+    let children = field(v, path, "children")?
         .as_array()
         .ok_or_else(|| format!("{path}.children must be an array"))?;
     for (i, child) in children.iter().enumerate() {
@@ -242,106 +232,51 @@ fn validate_stage(v: &Value, path: &str) -> Result<(), String> {
 /// Validate the shape of a `telemetry` JSON block (as produced by
 /// serializing [`Telemetry`]). Returns the first problem found.
 pub fn validate_telemetry(v: &Value) -> Result<(), String> {
-    let obj = expect_object(v, "telemetry")?;
-    let field = |name: &str| {
-        obj.iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| v)
-            .ok_or_else(|| format!("telemetry missing field `{name}`"))
-    };
-    if field("enabled")?.as_bool().is_none() {
+    let top = |name: &str| field(v, "telemetry", name);
+    if top("enabled")?.as_bool().is_none() {
         return Err("telemetry.enabled must be a boolean".to_string());
     }
-    let stages = field("stages")?
+    let stages = top("stages")?
         .as_array()
         .ok_or_else(|| "telemetry.stages must be an array".to_string())?;
     for (i, stage) in stages.iter().enumerate() {
         validate_stage(stage, &format!("telemetry.stages[{i}]"))?;
     }
-    expect_number_map(field("counters")?, "telemetry.counters")?;
-    expect_number_map(field("gauges")?, "telemetry.gauges")?;
-    for (key, hist) in expect_object(field("histograms")?, "telemetry.histograms")? {
-        let hist_obj = expect_object(hist, &format!("telemetry.histograms.{key}"))?;
+    expect_number_map(top("counters")?, "telemetry.counters")?;
+    expect_number_map(top("gauges")?, "telemetry.gauges")?;
+    for (key, hist) in expect_object(top("histograms")?, "telemetry.histograms")? {
+        let what = format!("telemetry.histograms.{key}");
         for want in ["count", "sum", "mean", "min", "max", "p50", "p90", "p99"] {
-            let found = hist_obj
-                .iter()
-                .find(|(k, _)| k == want)
-                .map(|(_, v)| v)
-                .ok_or_else(|| format!("telemetry.histograms.{key} missing `{want}`"))?;
-            if found.as_f64().is_none() {
-                return Err(format!(
-                    "telemetry.histograms.{key}.{want} must be a number"
-                ));
-            }
+            expect_number(field(hist, &what, want)?, &format!("{what}.{want}"))?;
+        }
+        let bounds = expect_numbers(field(hist, &what, "bounds")?, &format!("{what}.bounds"))?;
+        let buckets = expect_numbers(field(hist, &what, "buckets")?, &format!("{what}.buckets"))?;
+        if buckets != bounds + 1 {
+            return Err(format!(
+                "{what}.buckets must have one more entry than bounds"
+            ));
         }
     }
-    for (key, s) in expect_object(field("series")?, "telemetry.series")? {
-        let arr = s
-            .as_array()
-            .ok_or_else(|| format!("telemetry.series.{key} must be an array"))?;
-        if arr.iter().any(|x| x.as_f64().is_none()) {
-            return Err(format!("telemetry.series.{key} must contain only numbers"));
-        }
+    for (key, s) in expect_object(top("series")?, "telemetry.series")? {
+        expect_numbers(s, &format!("telemetry.series.{key}"))?;
     }
-    expect_number_map(field("throughput")?, "telemetry.throughput")?;
-    let windows = field("windows")?;
-    let win_obj = expect_object(windows, "telemetry.windows")?;
-    let win_field = |name: &str| {
-        win_obj
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| v)
-            .ok_or_else(|| format!("telemetry.windows missing field `{name}`"))
-    };
-    if win_field("window_s")?.as_f64().is_none() {
-        return Err("telemetry.windows.window_s must be a number".to_string());
-    }
-    for (key, rate) in expect_object(win_field("rates")?, "telemetry.windows.rates")? {
-        let what = format!("telemetry.windows.rates.{key}");
-        expect_number_map(rate, &what)?;
-        let rate_obj = expect_object(rate, &what)?;
-        for want in ["count", "per_s"] {
-            if !rate_obj.iter().any(|(k, _)| k == want) {
-                return Err(format!("{what} missing `{want}`"));
-            }
-        }
-    }
-    for (key, hist) in expect_object(win_field("histograms")?, "telemetry.windows.histograms")? {
-        let what = format!("telemetry.windows.histograms.{key}");
-        let hist_obj = expect_object(hist, &what)?;
-        for want in ["count", "p50", "p99", "p999"] {
-            let found = hist_obj
-                .iter()
-                .find(|(k, _)| k == want)
-                .map(|(_, v)| v)
-                .ok_or_else(|| format!("{what} missing `{want}`"))?;
-            if found.as_f64().is_none() {
-                return Err(format!("{what}.{want} must be a number"));
-            }
-        }
-    }
-    crate::profile::validate_profile(field("profile")?).map_err(|e| format!("telemetry.{e}"))
+    expect_number_map(top("throughput")?, "telemetry.throughput")?;
+    crate::profile::validate_profile(top("profile")?).map_err(|e| format!("telemetry.{e}"))
 }
 
-/// Validate a full `--metrics-out` document: `schema_version`,
-/// `command`, and a valid `telemetry` block.
+/// Validate a full `--metrics-out` or `/metrics` document:
+/// `schema_version`, `command`, and a valid `telemetry` block.
 pub fn validate_document(v: &Value) -> Result<(), String> {
-    let obj = expect_object(v, "document")?;
-    let field = |name: &str| {
-        obj.iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| v)
-            .ok_or_else(|| format!("document missing field `{name}`"))
-    };
-    match field("schema_version")?.as_f64() {
+    let top = |name: &str| field(v, "document", name);
+    match top("schema_version")?.as_f64() {
         Some(version) if version == SCHEMA_VERSION as f64 => {}
         Some(version) => return Err(format!("unsupported schema_version {version}")),
         None => return Err("schema_version must be a number".to_string()),
     }
-    if field("command")?.as_str().is_none() {
+    if top("command")?.as_str().is_none() {
         return Err("command must be a string".to_string());
     }
-    validate_telemetry(field("telemetry")?)
+    validate_telemetry(top("telemetry")?)
 }
 
 #[cfg(test)]

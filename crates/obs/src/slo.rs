@@ -1,27 +1,56 @@
-//! SLO burn-rate engine: declarative objectives evaluated with the
-//! multi-window multi-burn-rate recipe. Each objective owns a set of
-//! (long, short) window pairs of good/bad [`WindowedCounter`]s; a pair
-//! *fires* when the burn rate — bad fraction divided by the error
-//! budget `1 - target` — exceeds its factor over **both** windows (the
-//! long window filters noise, the short one proves the burn is still
-//! happening). The worst firing pair's level is the objective's level,
-//! and the worst objective is the overall `ok | warn | critical`
-//! surfaced in `/healthz` and `/admin/slo`.
+//! SLO burn rates, derived by the reader of `/metrics` from successive
+//! scrapes of cumulative counts.
 //!
-//! Production pairs follow the standard shape — fast 5m/1h at a high
-//! factor for paging, slow 6h/3d at factor 1 for budget exhaustion —
-//! and tests shrink the same shape to milliseconds through the shared
-//! [`Clock`], so the evaluation path is identical in both.
+//! The server records each request once, into cumulative counters: for
+//! every objective in [`OBJECTIVES`] a `slo.<name>.count` (all events)
+//! and a `slo.<name>.good`, beside the cumulative [`LATENCY_HISTOGRAM`].
+//! The reader keeps what it scraped ([`Scrape`]) and calls [`derive()`]:
+//! the difference of two cumulative scrapes is the window between them.
+//! This is how multi-window burn-rate alerts are computed over a scraped
+//! metrics store (The Site Reliability Workbook, "Alerting on SLOs").
+//!
+//! A burn rate is the bad fraction over a window divided by the error
+//! budget `1 - target`. A (long, short) [`BurnWindow`] pair *fires* when
+//! both of its burn rates reach its factor: the long window filters
+//! noise, the short one proves the burn is still happening. The worst
+//! firing pair's level is the objective's level, and the worst
+//! objective's level is the view's `ok | warn | critical`.
+//!
+//! Production pairs follow the standard shape: fast 5m/1h at a high
+//! factor for paging, slow 6h/3d at factor 1 for budget exhaustion.
 
-use crate::window::{Clock, WindowSpec, WindowedCounter, TICKS_PER_SEC};
-use serde::{Deserialize, Serialize};
+use crate::window::quantile_from_counts;
+use serde::Serialize;
 use serde_json::Value;
-use std::sync::Arc;
+use std::collections::BTreeMap;
 
-/// Version of the `/admin/slo` document layout.
-pub const SLO_SCHEMA_VERSION: u64 = 1;
+/// A request slower than this, seconds, counts against the latency
+/// objective.
+pub const LATENCY_THRESHOLD_S: f64 = 0.25;
 
-/// Health of one objective (or the whole engine): ordered so `max`
+/// The cumulative request-latency histogram the reader takes interval
+/// quantiles from.
+pub const LATENCY_HISTOGRAM: &str = "serve.request.latency_s";
+
+/// The gauge a scrape reads its timestamp from: seconds since the
+/// server started.
+pub const UPTIME_GAUGE: &str = "serve.uptime_s";
+
+/// The serving objectives: a response written with a status below 500
+/// (a shed counts as bad), and a response within
+/// [`LATENCY_THRESHOLD_S`].
+pub const OBJECTIVES: [Objective; 2] = [
+    Objective {
+        name: "availability",
+        target: 0.999,
+    },
+    Objective {
+        name: "latency",
+        target: 0.99,
+    },
+];
+
+/// Health of one objective (or of the whole view): ordered so `max`
 /// picks the worst.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SloLevel {
@@ -40,21 +69,26 @@ impl SloLevel {
     }
 }
 
-/// One declarative objective: a name and the required good fraction.
-#[derive(Debug, Clone)]
+/// One objective: a name and the required good fraction.
+#[derive(Debug, Clone, Copy)]
 pub struct Objective {
     /// e.g. `availability`, `latency`.
-    pub name: String,
+    pub name: &'static str,
     /// Required fraction of good events, e.g. `0.999`.
     pub target: f64,
 }
 
 impl Objective {
-    pub fn new(name: &str, target: f64) -> Self {
-        Objective {
-            name: name.to_string(),
-            target: target.clamp(0.0, 1.0 - 1e-9),
-        }
+    /// The counter of all events. It sorts before [`Self::good_counter`],
+    /// so a registry snapshot reads it first: a request that finishes
+    /// mid-scrape can make the window look better by one, never worse.
+    pub fn count_counter(&self) -> String {
+        format!("slo.{}.count", self.name)
+    }
+
+    /// The counter of good events.
+    pub fn good_counter(&self) -> String {
+        format!("slo.{}.good", self.name)
     }
 }
 
@@ -67,7 +101,7 @@ pub struct BurnWindow {
     pub long_s: f64,
     /// Short window, seconds (is the burn still happening?).
     pub short_s: f64,
-    /// Burn-rate threshold both windows must exceed.
+    /// Burn-rate threshold both windows must reach.
     pub factor: f64,
     /// Level reported while firing.
     pub level: SloLevel,
@@ -95,9 +129,8 @@ impl BurnWindow {
         ]
     }
 
-    /// The production shape shrunk by `divisor` (tests drive rotation
-    /// through a virtual clock, so even sub-second windows evaluate
-    /// deterministically).
+    /// The production shape shrunk by `divisor`, for tests whose
+    /// scrapes are seconds apart.
     pub fn scaled(divisor: f64) -> Vec<BurnWindow> {
         let d = divisor.max(1.0);
         Self::production()
@@ -111,158 +144,74 @@ impl BurnWindow {
     }
 }
 
-/// Ring slots per SLO window: enough resolution that an expiring slot
-/// moves the burn rate by a few percent, coarse enough that 3-day
-/// windows stay tiny.
-const SLO_SLOTS: usize = 30;
-
-struct PairCounters {
-    good: WindowedCounter,
-    bad: WindowedCounter,
+/// The cumulative counts of one `/metrics` scrape, stamped with the
+/// server's uptime. Anything missing from the document reads as zero.
+#[derive(Debug, Clone, Default)]
+pub struct Scrape {
+    /// Server uptime when the scrape was taken, seconds.
+    pub t_s: f64,
+    /// The serving registry's counters (`serve.*`, `slo.*`), which live
+    /// as long as the server; a model hot-swap restarts the others.
+    pub counters: BTreeMap<String, u64>,
+    /// Latency bucket upper bounds, seconds (overflow excluded).
+    pub bounds: Vec<f64>,
+    /// Cumulative latency bucket counts, overflow last.
+    pub buckets: Vec<u64>,
 }
 
-impl PairCounters {
-    fn new(clock: &Arc<dyn Clock>, seconds: f64) -> Self {
-        let ticks = ((seconds * TICKS_PER_SEC as f64) as u64).max(SLO_SLOTS as u64);
-        let spec = WindowSpec::new(ticks / SLO_SLOTS as u64, SLO_SLOTS);
-        PairCounters {
-            good: WindowedCounter::new(Arc::clone(clock), spec),
-            bad: WindowedCounter::new(Arc::clone(clock), spec),
-        }
-    }
-
-    /// Bad fraction over this window (`0.0` with no events).
-    fn bad_fraction(&self) -> f64 {
-        let good = self.good.count();
-        let bad = self.bad.count();
-        let total = good + bad;
-        if total == 0 {
-            0.0
-        } else {
-            bad as f64 / total as f64
-        }
-    }
-}
-
-struct PairState {
-    cfg: BurnWindow,
-    long: PairCounters,
-    short: PairCounters,
-}
-
-struct ObjectiveState {
-    spec: Objective,
-    pairs: Vec<PairState>,
-}
-
-/// The engine: objectives × window pairs of windowed counters. Records
-/// are lock-free (windowed counter adds); evaluation reads the rings.
-pub struct SloEngine {
-    objectives: Vec<ObjectiveState>,
-}
-
-impl SloEngine {
-    pub fn new(clock: Arc<dyn Clock>, objectives: Vec<Objective>, pairs: &[BurnWindow]) -> Self {
-        SloEngine {
-            objectives: objectives
-                .into_iter()
-                .map(|spec| ObjectiveState {
-                    pairs: pairs
-                        .iter()
-                        .map(|&cfg| PairState {
-                            long: PairCounters::new(&clock, cfg.long_s),
-                            short: PairCounters::new(&clock, cfg.short_s),
-                            cfg,
-                        })
-                        .collect(),
-                    spec,
-                })
+impl Scrape {
+    /// Read a scrape out of the `telemetry` block of a `/metrics`
+    /// document.
+    pub fn from_telemetry(telemetry: &Value) -> Self {
+        let latency = &telemetry["histograms"][LATENCY_HISTOGRAM];
+        let list = |name: &str| latency[name].as_array().into_iter().flatten();
+        Scrape {
+            t_s: telemetry["gauges"][UPTIME_GAUGE].as_f64().unwrap_or(0.0),
+            counters: (telemetry["counters"].as_object().into_iter().flatten())
+                .filter(|(k, _)| k.starts_with("serve.") || k.starts_with("slo."))
+                .filter_map(|(k, v)| Some((k.clone(), v.as_u64()?)))
                 .collect(),
+            bounds: list("bounds").filter_map(Value::as_f64).collect(),
+            buckets: list("buckets").filter_map(Value::as_u64).collect(),
         }
     }
 
-    /// Index of the objective `name`, resolved once by callers that
-    /// record on a hot path.
-    pub fn objective_index(&self, name: &str) -> Option<usize> {
-        self.objectives.iter().position(|o| o.spec.name == name)
+    /// The counter `name`, zero when absent.
+    pub fn count(&self, name: &str) -> u64 {
+        self.counters.get(name).copied().unwrap_or(0)
     }
 
-    /// Record one event outcome for objective `idx` (from
-    /// [`Self::objective_index`]) into every window pair.
-    pub fn record_at(&self, idx: usize, good: bool) {
-        let Some(o) = self.objectives.get(idx) else {
-            return;
-        };
-        for pair in &o.pairs {
-            if good {
-                pair.long.good.inc();
-                pair.short.good.inc();
-            } else {
-                pair.long.bad.inc();
-                pair.short.bad.inc();
-            }
-        }
+    /// True when this scrape cannot follow `earlier` from the same
+    /// server run: its uptime or a cumulative count fell.
+    pub fn restarted_since(&self, earlier: &Scrape) -> bool {
+        self.t_s < earlier.t_s
+            || (earlier.counters.iter()).any(|(k, &then)| self.count(k) < then)
+            || self
+                .buckets
+                .iter()
+                .zip(&earlier.buckets)
+                .any(|(n, t)| n < t)
     }
+}
 
-    /// Record by objective name (cold paths and tests).
-    pub fn record(&self, name: &str, good: bool) {
-        if let Some(idx) = self.objective_index(name) {
-            self.record_at(idx, good);
-        }
-    }
-
-    /// Evaluate every objective now.
-    pub fn evaluate(&self) -> SloReport {
-        let mut objectives = Vec::with_capacity(self.objectives.len());
-        let mut overall = SloLevel::Ok;
-        for o in &self.objectives {
-            let budget = 1.0 - o.spec.target;
-            let mut level = SloLevel::Ok;
-            let mut pairs = Vec::with_capacity(o.pairs.len());
-            for p in &o.pairs {
-                let long_burn = p.long.bad_fraction() / budget;
-                let short_burn = p.short.bad_fraction() / budget;
-                let firing = long_burn >= p.cfg.factor && short_burn >= p.cfg.factor;
-                if firing {
-                    level = level.max(p.cfg.level);
-                }
-                pairs.push(PairReport {
-                    name: p.cfg.name.to_string(),
-                    long_s: p.cfg.long_s,
-                    short_s: p.cfg.short_s,
-                    factor: p.cfg.factor,
-                    long_burn,
-                    short_burn,
-                    firing,
-                });
-            }
-            overall = overall.max(level);
-            objectives.push(ObjectiveReport {
-                name: o.spec.name.clone(),
-                target: o.spec.target,
-                level: level.as_str().to_string(),
-                pairs,
-            });
-        }
-        SloReport {
-            schema_version: SLO_SCHEMA_VERSION,
-            level: overall.as_str().to_string(),
-            objectives,
-        }
-    }
-
-    /// The worst current level (the `/healthz` summary field).
-    pub fn level(&self) -> SloLevel {
-        match self.evaluate().level.as_str() {
-            "critical" => SloLevel::Critical,
-            "warn" => SloLevel::Warn,
-            _ => SloLevel::Ok,
-        }
-    }
+/// Traffic over the last interval.
+#[derive(Debug, Clone, PartialEq, Serialize)]
+pub struct Interval {
+    /// Seconds between the two scrapes.
+    pub seconds: f64,
+    pub requests: u64,
+    pub errors: u64,
+    pub shed: u64,
+    /// Requests answered per second.
+    pub per_s: f64,
+    /// Median request latency, seconds.
+    pub p50_s: f64,
+    /// 99th-percentile request latency, seconds.
+    pub p99_s: f64,
 }
 
 /// One evaluated burn-rate pair.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct PairReport {
     pub name: String,
     pub long_s: f64,
@@ -274,7 +223,7 @@ pub struct PairReport {
 }
 
 /// One evaluated objective.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ObjectiveReport {
     pub name: String,
     pub target: f64,
@@ -283,182 +232,245 @@ pub struct ObjectiveReport {
     pub pairs: Vec<PairReport>,
 }
 
-/// The `/admin/slo` document.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SloReport {
-    pub schema_version: u64,
+/// What the reader derives from its scrapes.
+#[derive(Debug, Clone, PartialEq, Serialize)]
+pub struct View {
+    /// Between the two newest scrapes, or since the server started when
+    /// there is one.
+    pub interval: Interval,
     /// Worst objective level: `ok | warn | critical`.
     pub level: String,
     pub objectives: Vec<ObjectiveReport>,
 }
 
-fn expect_object<'v>(v: &'v Value, what: &str) -> Result<&'v Vec<(String, Value)>, String> {
-    v.as_object()
-        .ok_or_else(|| format!("{what} must be an object"))
-}
-
-fn get<'v>(obj: &'v [(String, Value)], name: &str, what: &str) -> Result<&'v Value, String> {
-    obj.iter()
-        .find(|(k, _)| k == name)
-        .map(|(_, v)| v)
-        .ok_or_else(|| format!("{what} missing field `{name}`"))
-}
-
-fn expect_level(v: &Value, what: &str) -> Result<(), String> {
-    match v.as_str() {
-        Some("ok") | Some("warn") | Some("critical") => Ok(()),
-        _ => Err(format!("{what} must be one of ok|warn|critical")),
-    }
-}
-
-/// Validate the shape of an `/admin/slo` document. Returns the first
-/// problem found.
-pub fn validate_slo_document(v: &Value) -> Result<(), String> {
-    let obj = expect_object(v, "slo")?;
-    match get(obj, "schema_version", "slo")?.as_f64() {
-        Some(version) if version == SLO_SCHEMA_VERSION as f64 => {}
-        Some(version) => return Err(format!("unsupported slo schema_version {version}")),
-        None => return Err("slo.schema_version must be a number".to_string()),
-    }
-    expect_level(get(obj, "level", "slo")?, "slo.level")?;
-    let objectives = get(obj, "objectives", "slo")?
-        .as_array()
-        .ok_or_else(|| "slo.objectives must be an array".to_string())?;
-    for (i, o) in objectives.iter().enumerate() {
-        let what = format!("slo.objectives[{i}]");
-        let o_obj = expect_object(o, &what)?;
-        if get(o_obj, "name", &what)?.as_str().is_none() {
-            return Err(format!("{what}.name must be a string"));
+/// Derive the view from `history`: scrapes of one server run, oldest
+/// first. A window of `w` seconds reaches back to the newest earlier
+/// scrape at least `w` old. A window longer than the server's uptime
+/// starts at zero counts, which is exact; one longer than the history
+/// but not the uptime is clipped to the oldest scrape. A single scrape
+/// reads as the window since the server started.
+pub fn derive(history: &[Scrape], pairs: &[BurnWindow]) -> View {
+    let start = Scrape::default();
+    let now = history.last().unwrap_or(&start);
+    let earlier = &history[..history.len().saturating_sub(1)];
+    let since = |w: f64| -> &Scrape {
+        if now.t_s <= w {
+            return &start;
         }
-        if get(o_obj, "target", &what)?.as_f64().is_none() {
-            return Err(format!("{what}.target must be a number"));
-        }
-        expect_level(get(o_obj, "level", &what)?, &format!("{what}.level"))?;
-        let pairs = get(o_obj, "pairs", &what)?
-            .as_array()
-            .ok_or_else(|| format!("{what}.pairs must be an array"))?;
-        for (j, p) in pairs.iter().enumerate() {
-            let pwhat = format!("{what}.pairs[{j}]");
-            let p_obj = expect_object(p, &pwhat)?;
-            if get(p_obj, "name", &pwhat)?.as_str().is_none() {
-                return Err(format!("{pwhat}.name must be a string"));
-            }
-            for want in ["long_s", "short_s", "factor", "long_burn", "short_burn"] {
-                if get(p_obj, want, &pwhat)?.as_f64().is_none() {
-                    return Err(format!("{pwhat}.{want} must be a number"));
+        earlier
+            .iter()
+            .rev()
+            .find(|s| s.t_s <= now.t_s - w)
+            .or(earlier.first())
+            .unwrap_or(&start)
+    };
+
+    let prev = earlier.last().unwrap_or(&start);
+    let delta = |name: &str| now.count(name).saturating_sub(prev.count(name));
+    let buckets: Vec<u64> = (now.buckets.iter().enumerate())
+        .map(|(i, &n)| n.saturating_sub(prev.buckets.get(i).copied().unwrap_or(0)))
+        .collect();
+    let requests: u64 = buckets.iter().sum();
+    let seconds = (now.t_s - prev.t_s).max(0.0);
+    let interval = Interval {
+        seconds,
+        requests,
+        errors: (now.counters.keys())
+            .filter(|k| k.starts_with("serve.errors."))
+            .map(|k| delta(k))
+            .sum(),
+        shed: delta("serve.shed"),
+        per_s: if seconds > 0.0 {
+            requests as f64 / seconds
+        } else {
+            0.0
+        },
+        p50_s: quantile_from_counts(&now.bounds, &buckets, 0.50),
+        p99_s: quantile_from_counts(&now.bounds, &buckets, 0.99),
+    };
+
+    let mut overall = SloLevel::Ok;
+    let objectives = OBJECTIVES
+        .iter()
+        .map(|o| {
+            let (count, good) = (o.count_counter(), o.good_counter());
+            let burn = |w: f64| {
+                let then = since(w);
+                let n = now.count(&count).saturating_sub(then.count(&count));
+                let bad = n.saturating_sub(now.count(&good).saturating_sub(then.count(&good)));
+                if n == 0 {
+                    0.0
+                } else {
+                    bad as f64 / n as f64 / (1.0 - o.target)
                 }
+            };
+            let mut level = SloLevel::Ok;
+            let pairs = pairs
+                .iter()
+                .map(|p| {
+                    let (long_burn, short_burn) = (burn(p.long_s), burn(p.short_s));
+                    let firing = long_burn >= p.factor && short_burn >= p.factor;
+                    if firing {
+                        level = level.max(p.level);
+                    }
+                    PairReport {
+                        name: p.name.to_string(),
+                        long_s: p.long_s,
+                        short_s: p.short_s,
+                        factor: p.factor,
+                        long_burn,
+                        short_burn,
+                        firing,
+                    }
+                })
+                .collect();
+            overall = overall.max(level);
+            ObjectiveReport {
+                name: o.name.to_string(),
+                target: o.target,
+                level: level.as_str().to_string(),
+                pairs,
             }
-            if get(p_obj, "firing", &pwhat)?.as_bool().is_none() {
-                return Err(format!("{pwhat}.firing must be a boolean"));
-            }
-        }
+        })
+        .collect();
+    View {
+        interval,
+        level: overall.as_str().to_string(),
+        objectives,
     }
-    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::window::VirtualClock;
 
-    fn engine(clock: Arc<VirtualClock>) -> SloEngine {
-        // 1000× shrink: fast pair 3.6s/0.3s, slow pair 259.2s/21.6s.
-        SloEngine::new(
-            clock,
-            vec![
-                Objective::new("availability", 0.999),
-                Objective::new("latency", 0.99),
-            ],
-            &BurnWindow::scaled(1000.0),
-        )
+    /// A scrape at `t_s` after `good` good and `bad` bad requests, all
+    /// of them 1 ms fast.
+    fn scrape(t_s: f64, good: u64, bad: u64) -> Scrape {
+        let n = good + bad;
+        let counters = [
+            ("serve.errors.extract", bad),
+            ("slo.availability.count", n),
+            ("slo.availability.good", good),
+            ("slo.latency.count", n),
+            ("slo.latency.good", n),
+        ];
+        Scrape {
+            t_s,
+            counters: counters.iter().map(|&(k, v)| (k.to_string(), v)).collect(),
+            bounds: vec![0.001, 0.01, 0.1],
+            buckets: vec![n, 0, 0, 0],
+        }
+    }
+
+    // 1000× shrink: fast pair 3.6 s/0.3 s, slow pair 259.2 s/21.6 s.
+    fn pairs() -> Vec<BurnWindow> {
+        BurnWindow::scaled(1000.0)
     }
 
     #[test]
-    fn quiet_engine_reports_ok_and_validates() {
-        let clock = Arc::new(VirtualClock::new());
-        let e = engine(clock.clone());
-        for _ in 0..100 {
-            e.record("availability", true);
-        }
-        let report = e.evaluate();
-        assert_eq!(report.level, "ok");
-        assert_eq!(report.objectives.len(), 2);
-        assert!(report.objectives[0].pairs.iter().all(|p| !p.firing));
-        let value = serde_json::to_value(&report);
-        validate_slo_document(&value).expect("valid slo document");
+    fn quiet_traffic_reads_ok() {
+        let view = derive(&[scrape(1.0, 100, 0), scrape(2.0, 300, 0)], &pairs());
+        assert_eq!(view.level, "ok");
+        assert_eq!(view.objectives.len(), 2);
+        assert!(view.objectives[0].pairs.iter().all(|p| !p.firing));
+        assert_eq!(view.interval.requests, 200);
+        assert_eq!(view.interval.per_s, 200.0);
+        assert!(view.interval.p99_s <= 0.001, "{view:?}");
     }
 
     #[test]
     fn sustained_burn_fires_fast_pair_critical() {
-        let clock = Arc::new(VirtualClock::new());
-        let e = engine(clock.clone());
-        // 50% failure rate against a 0.1% budget: burn 500× over both
-        // fast windows.
-        for _ in 0..200 {
-            e.record("availability", true);
-            e.record("availability", false);
-        }
-        let report = e.evaluate();
-        assert_eq!(report.level, "critical");
-        let avail = &report.objectives[0];
-        assert_eq!(avail.level, "critical");
+        // Half the requests fail against a 0.1 % budget: burn 500× over
+        // both fast windows.
+        let view = derive(&[scrape(10.0, 200, 200)], &pairs());
+        assert_eq!(view.level, "critical");
+        let avail = &view.objectives[0];
         assert!(avail.pairs.iter().any(|p| p.name == "fast" && p.firing));
-        // The latency objective saw nothing and stays ok.
-        assert_eq!(report.objectives[1].level, "ok");
-        assert_eq!(e.level(), SloLevel::Critical);
+        assert_eq!(view.objectives[1].level, "ok");
     }
 
     #[test]
     fn burn_clears_when_short_window_recovers() {
-        let clock = Arc::new(VirtualClock::new());
-        let e = engine(clock.clone());
-        for _ in 0..100 {
-            e.record("latency", false);
-        }
-        assert_eq!(e.evaluate().objectives[1].level, "critical");
-        // Advance past the short fast window (0.3s scaled) but inside
-        // the long one (3.6s): the short window no longer confirms the
-        // burn, so the fast pair stops firing.
-        clock.advance((1.0 * TICKS_PER_SEC as f64) as u64);
-        for _ in 0..100 {
-            e.record("latency", true);
-        }
-        let report = e.evaluate();
-        let fast = report.objectives[1]
-            .pairs
-            .iter()
-            .find(|p| p.name == "fast")
-            .unwrap();
+        // Bad traffic early, then a second of good traffic: the 0.3 s
+        // short window reaches back only to the good scrapes, the 3.6 s
+        // long window to the start.
+        let history = [
+            scrape(1.0, 0, 100),
+            scrape(1.5, 100, 100),
+            scrape(2.0, 200, 100),
+        ];
+        let view = derive(&history, &pairs());
+        let fast = &view.objectives[0].pairs[0];
         assert!(fast.long_burn > fast.factor, "long window still burnt");
+        assert_eq!(fast.short_burn, 0.0);
         assert!(!fast.firing, "short window recovered: {fast:?}");
     }
 
     #[test]
-    fn validator_rejects_malformed_documents() {
-        assert!(validate_slo_document(&serde_json::json!([])).is_err());
-        assert!(validate_slo_document(&serde_json::json!({})).is_err());
-        let bad_level = serde_json::json!({
-            "schema_version": SLO_SCHEMA_VERSION,
-            "level": "fine",
-            "objectives": [],
-        });
-        let err = validate_slo_document(&bad_level).unwrap_err();
-        assert!(err.contains("ok|warn|critical"), "{err}");
-        let bad_version = serde_json::json!({
-            "schema_version": 999,
-            "level": "ok",
-            "objectives": [],
-        });
-        assert!(validate_slo_document(&bad_version).is_err());
+    fn windows_longer_than_the_history_clip_to_it() {
+        // Uptime 1000 s, history 2 s: the 21.6 s and 259.2 s slow windows
+        // are clipped to the oldest scrape, not to the server start.
+        let history = [scrape(998.0, 1000, 1000), scrape(1000.0, 1100, 1000)];
+        let view = derive(&history, &pairs());
+        let slow = &view.objectives[0].pairs[1];
+        assert_eq!((slow.long_burn, slow.short_burn), (0.0, 0.0), "{slow:?}");
+        // One scrape is the since-start view.
+        let view = derive(&history[1..], &pairs());
+        assert_eq!(view.interval.requests, 2100);
+        assert_eq!(view.interval.per_s, 2.1);
+        assert!(view.objectives[0].pairs[1].long_burn > 1.0);
     }
 
     #[test]
-    fn unknown_objective_records_are_ignored() {
-        let clock = Arc::new(VirtualClock::new());
-        let e = engine(clock);
-        e.record("nonexistent", false);
-        assert_eq!(e.evaluate().level, "ok");
-        assert_eq!(e.objective_index("latency"), Some(1));
-        assert_eq!(e.objective_index("nonexistent"), None);
+    fn interval_quantiles_come_from_bucket_deltas() {
+        let mut slow = scrape(2.0, 100, 0);
+        slow.buckets = vec![90, 0, 10, 0];
+        let view = derive(&[scrape(1.0, 90, 0), slow], &pairs());
+        // The interval holds only the ten slow requests.
+        assert_eq!(view.interval.requests, 10);
+        assert!(view.interval.p50_s > 0.01 && view.interval.p50_s <= 0.1);
+    }
+
+    #[test]
+    fn falling_counts_mark_a_restart() {
+        let before = scrape(50.0, 100, 0);
+        assert!(!scrape(60.0, 200, 0).restarted_since(&before));
+        assert!(scrape(1.0, 5, 0).restarted_since(&before));
+        let mut shed_before = before.clone();
+        shed_before.counters.insert("serve.shed".to_string(), 3);
+        assert!(scrape(60.0, 200, 0).restarted_since(&shed_before));
+    }
+
+    #[test]
+    fn scrape_reads_a_telemetry_block() {
+        let t = serde_json::json!({
+            "counters": {
+                "cache.ingredient.hits": 9,
+                "serve.errors.extract": 2,
+                "serve.errors.other": 1,
+                "serve.shed": 4,
+                "slo.availability.count": 10,
+                "slo.availability.good": 6,
+            },
+            "gauges": { "serve.uptime_s": 12.5 },
+            "histograms": {
+                "serve.request.latency_s": {
+                    "count": 6, "bounds": [0.1], "buckets": [5, 1],
+                },
+            },
+        });
+        let s = Scrape::from_telemetry(&t);
+        assert_eq!(s.t_s, 12.5);
+        assert_eq!((s.count("serve.shed"), s.count("slo.latency.good")), (4, 0));
+        // A hot-swap restarts the model's own counters, not the server.
+        assert_eq!(s.count("cache.ingredient.hits"), 0);
+        assert_eq!(s.bounds, vec![0.1]);
+        assert_eq!(s.buckets, vec![5, 1]);
+        let view = derive(&[s], &pairs());
+        assert_eq!((view.interval.requests, view.interval.errors), (6, 3));
+        assert_eq!(view.interval.shed, 4);
+        // Four of ten available against a 0.1 % budget.
+        assert_eq!(view.level, "critical");
     }
 }

@@ -1,7 +1,9 @@
-//! Sliding-window metrics: ring-of-buckets counters and histograms
-//! whose rotation is driven by an injectable [`Clock`], so production
-//! uses the monotonic clock while tests use a [`VirtualClock`] and get
-//! deterministic, byte-reproducible window snapshots.
+//! Sliding-window counters whose rotation is driven by an injectable
+//! [`Clock`], so production uses the monotonic clock while tests use a
+//! [`VirtualClock`] and get deterministic window counts. The drift
+//! monitor is their one user; serving records cumulative counts only,
+//! and the reader of `/metrics` derives windows from successive scrapes
+//! ([`crate::slo`]).
 //!
 //! Time is measured in **ticks** (microseconds). A window is `slots`
 //! ring slots of `slot_ticks` each; a sample recorded at tick `t`
@@ -13,24 +15,21 @@
 //! race window is one cache-line zeroing). Late samples for an epoch
 //! the ring has already moved past are dropped, never misfiled.
 //!
-//! Snapshots merge the slots whose epochs fall inside the window, so
-//! a frozen [`VirtualClock`] yields exact totals regardless of how
-//! many threads recorded — the determinism story behind the
-//! byte-identical `windows` block asserted in `tests/telemetry.rs`.
+//! A count merges the slots whose epochs fall inside the window, so a
+//! frozen [`VirtualClock`] yields exact totals regardless of how many
+//! threads recorded.
 
-use crate::metrics::DEFAULT_LATENCY_BOUNDS;
-use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// Ticks per second (ticks are microseconds).
 pub const TICKS_PER_SEC: u64 = 1_000_000;
 
-/// A monotonic tick source. Everything windowed rotates through this
-/// trait so tests can drive rotation deterministically (lint RA409
-/// enforces the same discipline on the serving request path).
+/// A monotonic tick source. Windows rotate through it and serving
+/// stamps request lifecycles with it, so tests drive both
+/// deterministically (lint RA409 enforces the same discipline on the
+/// serving request path).
 pub trait Clock: Send + Sync {
     /// Microseconds since an arbitrary fixed origin.
     fn now_ticks(&self) -> u64;
@@ -104,12 +103,6 @@ impl WindowSpec {
     /// The serving default: a 60 s window of 1 s slots.
     pub fn serving() -> Self {
         WindowSpec::new(TICKS_PER_SEC, 60)
-    }
-
-    /// A window spanning `secs` seconds split into `slots` slots.
-    pub fn over_seconds(secs: u64, slots: usize) -> Self {
-        let slots = slots.max(1) as u64;
-        WindowSpec::new((secs * TICKS_PER_SEC / slots).max(1), slots as usize)
     }
 
     /// Window length in seconds.
@@ -232,114 +225,11 @@ impl std::fmt::Debug for WindowedCounter {
     }
 }
 
-/// One ring slot of a [`WindowedHistogram`]: per-bucket counts only —
-/// windowed percentiles need nothing else.
-#[derive(Debug)]
-struct HistSlot {
-    epoch: AtomicU64,
-    buckets: Vec<AtomicU64>,
-}
-
-/// A sliding-window fixed-bucket histogram, same bucket semantics as
-/// [`crate::metrics::Histogram`] (bucket `i` counts `v <= bounds[i]`,
-/// one overflow bucket last).
-pub struct WindowedHistogram {
-    clock: Arc<dyn Clock>,
-    spec: WindowSpec,
-    bounds: Vec<f64>,
-    ring: Vec<HistSlot>,
-}
-
-impl WindowedHistogram {
-    /// # Panics
-    /// If `bounds` is empty or not strictly ascending.
-    pub fn new(clock: Arc<dyn Clock>, spec: WindowSpec, bounds: &[f64]) -> Self {
-        assert!(!bounds.is_empty(), "windowed histogram needs bounds");
-        assert!(
-            bounds.windows(2).all(|w| w[0] < w[1]),
-            "windowed histogram bounds must be strictly ascending"
-        );
-        WindowedHistogram {
-            clock,
-            spec,
-            bounds: bounds.to_vec(),
-            ring: (0..spec.slots)
-                .map(|_| HistSlot {
-                    epoch: AtomicU64::new(EMPTY),
-                    buckets: (0..bounds.len() + 1).map(|_| AtomicU64::new(0)).collect(),
-                })
-                .collect(),
-        }
-    }
-
-    /// Record one sample at the current tick (negatives clamp to 0).
-    pub fn record(&self, v: f64) {
-        let v = v.max(0.0);
-        let bucket = self.bounds.partition_point(|&b| b < v);
-        let epoch = self.clock.now_ticks() / self.spec.slot_ticks;
-        let slot = &self.ring[(epoch % self.spec.slots as u64) as usize];
-        if claim_slot(&slot.epoch, tag_of(epoch), || {
-            for b in &slot.buckets {
-                b.store(0, Ordering::Relaxed);
-            }
-        }) {
-            slot.buckets[bucket].fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Merged per-bucket counts (overflow last) over the window ending
-    /// at the current tick.
-    pub fn bucket_counts(&self) -> Vec<u64> {
-        let now_epoch = self.clock.now_ticks() / self.spec.slot_ticks;
-        let oldest = now_epoch.saturating_sub(self.spec.slots as u64 - 1);
-        let mut merged = vec![0u64; self.bounds.len() + 1];
-        for s in &self.ring {
-            let tag = s.epoch.load(Ordering::Acquire);
-            if tag == EMPTY || tag == ROTATING {
-                continue;
-            }
-            let epoch = tag - 1;
-            if epoch < oldest || epoch > now_epoch {
-                continue;
-            }
-            for (m, b) in merged.iter_mut().zip(&s.buckets) {
-                *m += b.load(Ordering::Relaxed);
-            }
-        }
-        merged
-    }
-
-    /// Samples inside the window.
-    pub fn count(&self) -> u64 {
-        self.bucket_counts().iter().sum()
-    }
-
-    /// Windowed quantile, interpolated inside the winning bucket —
-    /// identical semantics to the cumulative histogram's `quantile`.
-    pub fn quantile(&self, q: f64) -> f64 {
-        quantile_from_counts(&self.bounds, &self.bucket_counts(), q)
-    }
-
-    /// The configured bucket upper bounds (overflow excluded).
-    pub fn bounds(&self) -> &[f64] {
-        &self.bounds
-    }
-
-    /// Summary for the `windows` telemetry block.
-    pub fn snapshot(&self) -> WindowHistogramSnapshot {
-        let counts = self.bucket_counts();
-        let count: u64 = counts.iter().sum();
-        WindowHistogramSnapshot {
-            count,
-            p50: quantile_from_counts(&self.bounds, &counts, 0.50),
-            p99: quantile_from_counts(&self.bounds, &counts, 0.99),
-            p999: quantile_from_counts(&self.bounds, &counts, 0.999),
-        }
-    }
-}
-
-/// Quantile over externally merged bucket counts; the single quantile
-/// algorithm shared by windowed and cumulative histograms.
+/// Quantile `q` in `[0, 1]` over per-bucket counts (overflow last),
+/// linearly interpolated inside the winning bucket; `0.0` when empty.
+/// The overflow bucket reports the last bound. The one quantile
+/// algorithm: cumulative histograms and the `/metrics` reader's bucket
+/// deltas ([`crate::slo`]) both use it.
 pub fn quantile_from_counts(bounds: &[f64], counts: &[u64], q: f64) -> f64 {
     let total: u64 = counts.iter().sum();
     if total == 0 {
@@ -369,134 +259,6 @@ pub fn quantile_from_counts(bounds: &[f64], counts: &[u64], q: f64) -> f64 {
         seen += c;
     }
     top
-}
-
-/// Windowed rate of one named counter.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct WindowRate {
-    /// Events inside the window.
-    pub count: u64,
-    /// Events per second over the window.
-    pub per_s: f64,
-}
-
-/// Windowed tail summary of one named histogram.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct WindowHistogramSnapshot {
-    /// Samples inside the window.
-    pub count: u64,
-    /// Windowed median.
-    pub p50: f64,
-    /// Windowed 99th percentile.
-    pub p99: f64,
-    /// Windowed 99.9th percentile.
-    pub p999: f64,
-}
-
-/// The `windows` block of a telemetry document: every windowed metric's
-/// current value, keyed by name.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct WindowsSnapshot {
-    /// Window length in seconds (`0.0` when no window set is attached).
-    pub window_s: f64,
-    /// Rolling rates by counter name.
-    pub rates: BTreeMap<String, WindowRate>,
-    /// Rolling tail summaries by histogram name.
-    pub histograms: BTreeMap<String, WindowHistogramSnapshot>,
-}
-
-/// A named collection of windowed metrics sharing one clock and one
-/// window shape; the windowed sibling of [`crate::metrics::Registry`].
-pub struct WindowSet {
-    clock: Arc<dyn Clock>,
-    spec: WindowSpec,
-    counters: Mutex<BTreeMap<String, Arc<WindowedCounter>>>,
-    histograms: Mutex<BTreeMap<String, Arc<WindowedHistogram>>>,
-}
-
-impl WindowSet {
-    pub fn new(clock: Arc<dyn Clock>, spec: WindowSpec) -> Self {
-        WindowSet {
-            clock,
-            spec,
-            counters: Mutex::new(BTreeMap::new()),
-            histograms: Mutex::new(BTreeMap::new()),
-        }
-    }
-
-    /// The clock every metric in this set rotates through.
-    pub fn clock(&self) -> Arc<dyn Clock> {
-        Arc::clone(&self.clock)
-    }
-
-    /// Get or create the windowed counter `name`.
-    pub fn counter(&self, name: &str) -> Arc<WindowedCounter> {
-        let mut map = self.counters.lock().unwrap_or_else(|p| p.into_inner());
-        if let Some(c) = map.get(name) {
-            return Arc::clone(c);
-        }
-        let c = Arc::new(WindowedCounter::new(Arc::clone(&self.clock), self.spec));
-        map.insert(name.to_string(), Arc::clone(&c));
-        c
-    }
-
-    /// Get or create the windowed histogram `name` (existing bounds
-    /// win, matching `Registry::histogram`).
-    pub fn histogram(&self, name: &str, bounds: &[f64]) -> Arc<WindowedHistogram> {
-        let mut map = self.histograms.lock().unwrap_or_else(|p| p.into_inner());
-        if let Some(h) = map.get(name) {
-            return Arc::clone(h);
-        }
-        let h = Arc::new(WindowedHistogram::new(
-            Arc::clone(&self.clock),
-            self.spec,
-            bounds,
-        ));
-        map.insert(name.to_string(), Arc::clone(&h));
-        h
-    }
-
-    /// Get or create a windowed latency histogram.
-    pub fn latency_histogram(&self, name: &str) -> Arc<WindowedHistogram> {
-        self.histogram(name, &DEFAULT_LATENCY_BOUNDS)
-    }
-
-    /// Snapshot every windowed metric, sorted by name.
-    pub fn snapshot(&self) -> WindowsSnapshot {
-        WindowsSnapshot {
-            window_s: self.spec.window_s(),
-            rates: self
-                .counters
-                .lock()
-                .unwrap_or_else(|p| p.into_inner())
-                .iter()
-                .map(|(k, c)| {
-                    (
-                        k.clone(),
-                        WindowRate {
-                            count: c.count(),
-                            per_s: c.per_s(),
-                        },
-                    )
-                })
-                .collect(),
-            histograms: self
-                .histograms
-                .lock()
-                .unwrap_or_else(|p| p.into_inner())
-                .iter()
-                .map(|(k, h)| (k.clone(), h.snapshot()))
-                .collect(),
-        }
-    }
-}
-
-impl std::fmt::Debug for WindowSet {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WindowSet")
-            .field("spec", &self.spec)
-            .finish()
-    }
 }
 
 /// Population stability index between two bucketed distributions with
@@ -563,30 +325,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_window_percentiles_across_rotation() {
-        let clock = vclock();
-        let h = WindowedHistogram::new(clock.clone(), WindowSpec::new(10, 4), &[1.0, 2.0, 4.0]);
-        for _ in 0..99 {
-            h.record(0.5);
-        }
-        clock.advance(10);
-        h.record(3.0);
-        let snap = h.snapshot();
-        assert_eq!(snap.count, 100);
-        assert!(snap.p50 <= 1.0, "median in first bucket: {}", snap.p50);
-        // The slow sample is the 100th of 100: p99 (rank 98) stays in
-        // the fast bucket, p999 (rank 99) lands on it.
-        assert!(snap.p99 <= 1.0, "p99 in fast bucket: {}", snap.p99);
-        assert!(snap.p999 > 2.0, "tail sees the slow sample: {}", snap.p999);
-        // Rotate the fast samples out; only the slow one remains.
-        clock.advance(40);
-        h.record(3.0);
-        let snap = h.snapshot();
-        assert_eq!(snap.count, 1);
-        assert!(snap.p50 > 2.0 && snap.p50 <= 4.0);
-    }
-
-    #[test]
     fn late_samples_are_dropped_not_misfiled() {
         let clock = vclock();
         let c = WindowedCounter::new(clock.clone(), WindowSpec::new(10, 2));
@@ -608,45 +346,20 @@ mod tests {
     }
 
     #[test]
-    fn window_set_snapshot_is_sorted_and_complete() {
-        let clock = vclock();
-        let set = WindowSet::new(clock.clone(), WindowSpec::new(TICKS_PER_SEC, 60));
-        set.counter("b.rate").add(4);
-        set.counter("a.rate").inc();
-        set.histogram("lat", &[0.001, 0.01, 0.1]).record(0.005);
-        let snap = set.snapshot();
-        assert_eq!(snap.window_s, 60.0);
-        let names: Vec<_> = snap.rates.keys().cloned().collect();
-        assert_eq!(names, vec!["a.rate", "b.rate"]);
-        assert_eq!(snap.rates["b.rate"].count, 4);
-        assert_eq!(snap.histograms["lat"].count, 1);
-        // Same handle comes back for the same name.
-        assert_eq!(set.counter("a.rate").count(), 1);
-    }
-
-    #[test]
     fn concurrent_records_sum_exactly_under_frozen_clock() {
         let clock = vclock();
         let c = Arc::new(WindowedCounter::new(clock.clone(), WindowSpec::serving()));
-        let h = Arc::new(WindowedHistogram::new(
-            clock.clone(),
-            WindowSpec::serving(),
-            &DEFAULT_LATENCY_BOUNDS,
-        ));
         std::thread::scope(|s| {
             for _ in 0..8 {
                 let c = Arc::clone(&c);
-                let h = Arc::clone(&h);
                 s.spawn(move || {
                     for _ in 0..5_000 {
                         c.inc();
-                        h.record(0.002);
                     }
                 });
             }
         });
         assert_eq!(c.count(), 40_000);
-        assert_eq!(h.count(), 40_000);
     }
 
     #[test]

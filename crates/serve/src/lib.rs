@@ -31,17 +31,21 @@
 //!   process supervisors should use the endpoint.
 //! - **Observability.** Every request is minted an id at admission
 //!   (echoed as `X-Request-Id`) and stamped through its lifecycle
-//!   (queue wait → handle → write) on the injected [`Clock`]. One switch,
-//!   [`ServeConfig::monitoring`], covers the rest: sliding-window
-//!   mirrors feed the telemetry `windows` block, a multi-window
-//!   multi-burn-rate [`SloEngine`] scores availability and latency
-//!   objectives, the slowest requests land in the `/admin/slow`
-//!   exemplar table, every [`ServeConfig::drift_sample`]th `/extract`
-//!   streams its provenance into the [`drift::DriftMonitor`] for PSI
-//!   scoring against the model's frozen reference distribution, and a
-//!   [`Profiler`] attributes every request's queue-wait / handle / write
-//!   ticks to its endpoint (`GET /admin/profile`). The `sustained_load`
-//!   bench gates the switch's overhead.
+//!   (queue wait → handle → write) on the injected [`Clock`]. Each
+//!   request is then recorded once, into cumulative counts
+//!   ([`ServeMetrics::record_request`]): its latency histogram and the
+//!   good/count counters of the availability and latency objectives.
+//!   `GET /metrics` serves them; its reader derives rates, interval
+//!   percentiles and burn-rate levels from successive scrapes
+//!   ([`recipe_obs::slo`], `recipe-mine monitor`). One switch,
+//!   [`ServeConfig::monitoring`], covers the rest: the slowest requests
+//!   land in the `/admin/slow` exemplar table, every
+//!   [`ServeConfig::drift_sample`]th `/extract` streams its provenance
+//!   into the [`drift::DriftMonitor`] for PSI scoring against the
+//!   model's frozen reference distribution, and a [`Profiler`]
+//!   attributes every request's queue-wait / handle / write ticks to its
+//!   endpoint (the `telemetry.profile` block of `/metrics`). The
+//!   `sustained_load` bench gates the switch's overhead.
 //! - **Exact explanations under load.** `/explain` and drift samples
 //!   record provenance in a scope of their own request
 //!   ([`recipe_obs::provenance::capture`]), so concurrent requests on
@@ -50,8 +54,8 @@
 //!
 //! Endpoints: `POST /extract`, `POST /explain`, `GET /healthz`,
 //! `GET /metrics` (a schema-valid `recipe-mine stats` telemetry
-//! document), `GET /admin/slo`, `GET /admin/slow`,
-//! `GET /admin/profile`, `POST /admin/reload`, `POST /admin/shutdown`.
+//! document), `GET /admin/slow`, `POST /admin/reload`,
+//! `POST /admin/shutdown`.
 //! Responses render entries through the same [`entry_json`] as the
 //! batch CLI, so served extractions are byte-identical to
 //! `recipe-mine extract`.
@@ -68,7 +72,6 @@ pub use model::{entry_json, ModelError, ServeModel};
 
 use admission::{Connections, Gate, Refused};
 use recipe_obs::profile::Profiler;
-use recipe_obs::slo::{BurnWindow, Objective, SloEngine};
 use recipe_obs::window::{Clock, MonotonicClock, TICKS_PER_SEC};
 use serde_json::json;
 use std::io::{BufRead, BufReader};
@@ -109,19 +112,14 @@ pub struct ServeConfig {
     /// How long a keep-alive connection may sit idle waiting for its
     /// next request before the server closes it, milliseconds.
     pub keepalive_idle_ms: u64,
-    /// Collect windowed metrics, SLO outcomes, slow-request exemplars,
-    /// drift samples and the per-endpoint request profile. Off leaves
-    /// only the cumulative counters (the `sustained_load` bench compares
-    /// the two to gate overhead).
+    /// Collect slow-request exemplars, drift samples and the
+    /// per-endpoint request profile. Off leaves only the cumulative
+    /// counts (the `sustained_load` bench compares the two to gate
+    /// overhead).
     pub monitoring: bool,
     /// Sample every Nth `/extract` request for drift scoring
     /// (`0` disables sampling).
     pub drift_sample: u64,
-    /// Availability SLO target (good requests / total) in `(0.0, 1.0)`.
-    pub slo_availability: f64,
-    /// A request slower than this (seconds) counts against the latency
-    /// SLO objective.
-    pub slo_latency_s: f64,
 }
 
 impl Default for ServeConfig {
@@ -135,8 +133,6 @@ impl Default for ServeConfig {
             keepalive_idle_ms: 5_000,
             monitoring: true,
             drift_sample: 8,
-            slo_availability: 0.999,
-            slo_latency_s: 0.25,
         }
     }
 }
@@ -169,14 +165,10 @@ struct Shared {
     shutdown: AtomicBool,
     /// The listener's address; drain connects to it to wake `accept`.
     addr: SocketAddr,
-    /// The tick source every stamp, window and SLO counter shares.
+    /// The tick source every lifecycle stamp and drift window shares.
     clock: Arc<dyn Clock>,
     /// Request-id mint (ids start at 1).
     next_request_id: AtomicU64,
-    /// Burn-rate engine over availability and latency objectives.
-    slo: SloEngine,
-    idx_availability: usize,
-    idx_latency: usize,
     /// Live drift monitor; `None` when the model carries no reference
     /// or monitoring is off. Rebuilt on hot-swap.
     drift: RwLock<Option<Arc<DriftMonitor>>>,
@@ -185,10 +177,8 @@ struct Shared {
     /// `/extract` request sequence for drift sampling.
     extract_seq: AtomicU64,
     monitoring: bool,
-    /// Endpoint-level tick attribution behind `GET /admin/profile`.
+    /// Endpoint-level tick attribution, served in `/metrics`.
     profiler: Profiler,
-    /// The latency-SLO threshold requests are scored against, seconds.
-    latency_slo_s: f64,
     keepalive_max_requests: u32,
     keepalive_idle: Duration,
     drift_sample: u64,
@@ -219,29 +209,6 @@ impl Server {
             cfg.shards
         };
         let clock: Arc<dyn Clock> = Arc::new(MonotonicClock);
-        // CLI parsing validates the SLO knobs; clamp here too so a
-        // programmatic config can't build a vacuous or infinite-burn
-        // objective.
-        let slo_availability = if cfg.slo_availability > 0.0 && cfg.slo_availability < 1.0 {
-            cfg.slo_availability
-        } else {
-            0.999
-        };
-        let latency_slo_s = if cfg.slo_latency_s > 0.0 {
-            cfg.slo_latency_s
-        } else {
-            0.25
-        };
-        let slo = SloEngine::new(
-            Arc::clone(&clock),
-            vec![
-                Objective::new("availability", slo_availability),
-                Objective::new("latency", 0.99),
-            ],
-            &BurnWindow::production(),
-        );
-        let idx_availability = slo.objective_index("availability").unwrap_or(0);
-        let idx_latency = slo.objective_index("latency").unwrap_or(0);
         let drift = if cfg.monitoring {
             model
                 .drift_reference()
@@ -259,15 +226,11 @@ impl Server {
             addr,
             clock,
             next_request_id: AtomicU64::new(0),
-            slo,
-            idx_availability,
-            idx_latency,
             drift: RwLock::new(drift),
             slow: Mutex::new(Vec::new()),
             extract_seq: AtomicU64::new(0),
             monitoring: cfg.monitoring,
             profiler: Profiler::new("monotonic"),
-            latency_slo_s,
             keepalive_max_requests: cfg.keepalive_max_requests.max(1),
             // A zero read timeout is an error, not "no wait".
             keepalive_idle: Duration::from_millis(cfg.keepalive_idle_ms.max(1)),
@@ -294,8 +257,9 @@ impl Server {
         &self.shared.metrics
     }
 
-    /// Snapshot the per-endpoint request profile (what
-    /// `GET /admin/profile` serves). Empty when monitoring is off.
+    /// Snapshot the per-endpoint request profile (the
+    /// `telemetry.profile` block of `/metrics`). Empty when monitoring
+    /// is off.
     pub fn profile(&self) -> recipe_obs::Profile {
         self.shared.profiler.snapshot()
     }
@@ -491,10 +455,10 @@ fn run_connection(shared: &Shared, stream: TcpStream, conn: usize, accepted_tick
 
 /// Read one request off the connection, dispatch it against a pinned
 /// model, and write the response; true when the connection stays open
-/// for another request. Records the request's lifecycle (latency
-/// histograms, windowed mirrors, SLO outcomes, slow-table exemplar)
-/// from the tick stamps minted on the shared clock. Transport errors
-/// close the connection — the peer is gone.
+/// for another request. Records the request once into the cumulative
+/// counts, and with monitoring on into the slow table and the request
+/// profile, from the tick stamps minted on the shared clock. Transport
+/// errors close the connection — the peer is gone.
 fn serve_request(
     shared: &Shared,
     reader: &mut BufReader<TcpStream>,
@@ -529,24 +493,11 @@ fn serve_request(
         http::write_response(reader.get_mut(), &resp, keep).is_ok()
     };
     let done_ticks = shared.clock.now_ticks();
-    // Kept only for readers of its mean: requests are not batched.
-    shared.metrics.batch_size.record(1.0);
-    // Resolved before `path` moves into the slow-table exemplar below.
-    let endpoint = profile_endpoint(&path);
     let total_s = done_ticks.saturating_sub(arrived_ticks) as f64 / TICKS_PER_SEC as f64;
-    shared.metrics.latency.record(total_s);
+    shared.metrics.record_request(resp.status, wrote, total_s);
     if shared.monitoring {
-        shared.metrics.w_requests.inc();
-        if resp.status >= 400 {
-            shared.metrics.w_errors.inc();
-        }
-        shared.metrics.w_latency.record(total_s);
-        shared
-            .slo
-            .record_at(shared.idx_availability, wrote && resp.status < 500);
-        shared
-            .slo
-            .record_at(shared.idx_latency, total_s <= shared.latency_slo_s);
+        // Resolved before `path` moves into the slow-table exemplar.
+        let endpoint = profile_endpoint(&path);
         record_slow(
             shared,
             SlowEntry {
@@ -614,11 +565,7 @@ fn record_slow(shared: &Shared, entry: SlowEntry) {
 /// request bytes already arrived (without blocking) so the close does
 /// not reset the response out from under the client.
 fn shed(shared: &Shared, stream: TcpStream) {
-    shared.metrics.shed.inc();
-    if shared.monitoring {
-        shared.metrics.w_shed.inc();
-        shared.slo.record_at(shared.idx_availability, false);
-    }
+    shared.metrics.record_shed();
     let mut stream = stream;
     let _ = stream.set_nonblocking(true);
     let mut scratch = [0u8; 4096];
@@ -668,15 +615,13 @@ fn handle_request(shared: &Shared, model: &ServeModel, req: &http::Request) -> h
         ("POST", "/explain") => handle_explain(model, &req.body),
         ("GET", "/healthz") => handle_healthz(shared, model),
         ("GET", "/metrics") => handle_metrics(shared, model),
-        ("GET", "/admin/slo") => handle_slo(shared),
         ("GET", "/admin/slow") => handle_slow(shared),
-        ("GET", "/admin/profile") => handle_profile(shared),
         ("POST", "/admin/reload") => handle_reload(shared, &req.body),
         ("POST", "/admin/shutdown") => handle_shutdown(shared),
         (
             _,
-            "/extract" | "/explain" | "/healthz" | "/metrics" | "/admin/slo" | "/admin/slow"
-            | "/admin/profile" | "/admin/reload" | "/admin/shutdown",
+            "/extract" | "/explain" | "/healthz" | "/metrics" | "/admin/slow" | "/admin/reload"
+            | "/admin/shutdown",
         ) => http::Response::json(405, err_json("method not allowed")),
         _ => http::Response::json(404, err_json("no such endpoint")),
     };
@@ -776,31 +721,28 @@ fn handle_explain(model: &ServeModel, body: &[u8]) -> http::Response {
     http::Response::json(200, render(&json!({ "results": rows })))
 }
 
-/// `GET /healthz`: liveness plus a model/shard summary and the current
-/// worst SLO level (`ok | warn | critical`).
+/// `GET /healthz`: liveness plus a model/shard summary.
 fn handle_healthz(shared: &Shared, model: &ServeModel) -> http::Response {
     let doc = json!({
         "status": "ok",
         "model": model.kind(),
         "shards": shared.shards,
         "queue_depth": shared.gate.waiting(),
-        "slo": shared.slo.level().as_str(),
         "monitoring": shared.monitoring,
     });
     http::Response::json(200, render(&doc))
 }
 
 /// `GET /metrics`: a full telemetry document (global registry merged
-/// with the serving and inference registries), schema-valid for
-/// `recipe-mine stats`, extended with the sliding-window `windows`
-/// block and the prediction-drift summary.
+/// with the serving and inference registries, cumulative since launch,
+/// plus the request profile), schema-valid for `recipe-mine stats`,
+/// extended with the prediction-drift summary.
 fn handle_metrics(shared: &Shared, model: &ServeModel) -> http::Response {
-    shared.metrics.queue_depth.set(shared.gate.waiting() as f64);
+    shared.metrics.refresh_gauges(shared.gate.waiting());
     let mut t = recipe_obs::Telemetry::gather(&[
         shared.metrics.registry(),
         model.inference().metrics_registry(),
     ]);
-    t.windows = shared.metrics.windows().snapshot();
     t.profile = shared.profiler.snapshot();
     let drift = shared
         .drift
@@ -818,24 +760,6 @@ fn handle_metrics(shared: &Shared, model: &ServeModel) -> http::Response {
         "drift": drift_doc,
     });
     http::Response::json(200, render(&doc))
-}
-
-/// `GET /admin/slo`: the burn-rate engine's full evaluation — every
-/// objective's window pairs with their current long/short burn rates
-/// and firing state (schema-valid for
-/// [`recipe_obs::slo::validate_slo_document`]).
-fn handle_slo(shared: &Shared) -> http::Response {
-    let report = shared.slo.evaluate();
-    http::Response::json(200, render(&serde_json::to_value(&report)))
-}
-
-/// `GET /admin/profile`: the per-endpoint request profile — queue-wait
-/// / handle / write tick attribution per endpoint, schema-valid for
-/// [`recipe_obs::validate_profile`]. Empty (but still valid) when
-/// monitoring is off.
-fn handle_profile(shared: &Shared) -> http::Response {
-    let profile = shared.profiler.snapshot();
-    http::Response::json(200, render(&serde_json::to_value(&profile)))
 }
 
 /// `GET /admin/slow`: the slowest-request exemplar table, worst first,

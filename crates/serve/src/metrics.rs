@@ -1,17 +1,24 @@
 //! Serving metrics: a dedicated [`Registry`] merged into the
 //! `/metrics` telemetry document alongside the global and
-//! per-inference registries, plus a [`WindowSet`] of sliding-window
-//! mirrors for the hot-path signals (rolling rates and windowed tail
-//! percentiles exported as the telemetry `windows` block).
+//! per-inference registries.
+//!
+//! Every count here is cumulative since launch. Each request is recorded
+//! once, by [`ServeMetrics::record_request`]: its latency into one
+//! histogram and its outcome into the `good`/`count` counters of each
+//! SLO objective ([`recipe_obs::slo::OBJECTIVES`]). Windows, rates and
+//! burn levels are the reader's to derive from successive scrapes
+//! ([`recipe_obs::slo::derive`]); the `serve.uptime_s` gauge stamps each
+//! scrape on the server's [`Clock`].
 //!
 //! Handles are resolved once at startup (registry lookups take a lock;
 //! the hot path must not), and the in-flight gauge is backed by an
-//! `AtomicU64` because [`Gauge`] is set-only. Every windowed metric
-//! rotates through the one injected [`Clock`], so tests drive rotation
-//! deterministically with a virtual clock.
+//! `AtomicU64` because [`Gauge`] is set-only.
 
 use recipe_obs::metrics::{Counter, Gauge, Histogram, Registry};
-use recipe_obs::window::{Clock, WindowSet, WindowSpec, WindowedCounter, WindowedHistogram};
+use recipe_obs::slo::{
+    Objective, LATENCY_HISTOGRAM, LATENCY_THRESHOLD_S, OBJECTIVES, UPTIME_GAUGE,
+};
+use recipe_obs::window::{Clock, TICKS_PER_SEC};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -30,12 +37,37 @@ impl EndpointCounters {
     }
 }
 
+/// The cumulative counters of one SLO objective.
+struct SloCounters {
+    count: Arc<Counter>,
+    good: Arc<Counter>,
+}
+
+impl SloCounters {
+    fn new(reg: &Registry, objective: &Objective) -> Self {
+        SloCounters {
+            count: reg.counter(&objective.count_counter()),
+            good: reg.counter(&objective.good_counter()),
+        }
+    }
+
+    fn record(&self, good: bool) {
+        self.count.inc();
+        if good {
+            self.good.inc();
+        }
+    }
+}
+
 /// All serving metrics, handle-resolved at construction.
 pub struct ServeMetrics {
     registry: Registry,
-    windows: WindowSet,
+    clock: Arc<dyn Clock>,
+    launched_ticks: u64,
     /// Requests waiting for an admission permit.
     pub queue_depth: Arc<Gauge>,
+    /// Seconds since launch, set at each scrape.
+    uptime: Arc<Gauge>,
     /// Requests holding a permit and not yet responded to.
     pub in_flight: Arc<Gauge>,
     in_flight_now: AtomicU64,
@@ -54,14 +86,9 @@ pub struct ServeMetrics {
     pub batch_size: Arc<Histogram>,
     /// Queue-wait + decode + write latency per request, seconds.
     pub latency: Arc<Histogram>,
-    /// Windowed mirror of total requests served.
-    pub w_requests: Arc<WindowedCounter>,
-    /// Windowed mirror of responses with status >= 400.
-    pub w_errors: Arc<WindowedCounter>,
-    /// Windowed mirror of shed connections.
-    pub w_shed: Arc<WindowedCounter>,
-    /// Windowed request latency (seconds).
-    pub w_latency: Arc<WindowedHistogram>,
+    /// Per objective, in [`OBJECTIVES`] order: availability, latency.
+    availability: SloCounters,
+    fast_enough: SloCounters,
     extract: EndpointCounters,
     explain: EndpointCounters,
     healthz: EndpointCounters,
@@ -71,13 +98,16 @@ pub struct ServeMetrics {
 }
 
 impl ServeMetrics {
-    /// Build with the clock every windowed metric rotates through
-    /// (monotonic in the server, virtual in tests).
+    /// Build with the clock that stamps the uptime gauge (monotonic in
+    /// the server, virtual in tests); uptime counts from now.
     pub fn new(clock: Arc<dyn Clock>) -> Self {
         let registry = Registry::new();
-        let windows = WindowSet::new(clock, WindowSpec::serving());
+        let [available, fast] = OBJECTIVES;
         ServeMetrics {
+            launched_ticks: clock.now_ticks(),
+            clock,
             queue_depth: registry.gauge("serve.queue.depth"),
+            uptime: registry.gauge(UPTIME_GAUGE),
             in_flight: registry.gauge("serve.in_flight"),
             in_flight_now: AtomicU64::new(0),
             shed: registry.counter("serve.shed"),
@@ -85,18 +115,15 @@ impl ServeMetrics {
             accepted: registry.counter("serve.accepted"),
             keepalive_reuse: registry.counter("serve.keepalive.reuse"),
             batch_size: registry.count_histogram("serve.batch.size"),
-            latency: registry.latency_histogram("serve.request.latency_s"),
-            w_requests: windows.counter("serve.requests"),
-            w_errors: windows.counter("serve.errors"),
-            w_shed: windows.counter("serve.shed"),
-            w_latency: windows.latency_histogram("serve.request.latency_s"),
+            latency: registry.latency_histogram(LATENCY_HISTOGRAM),
+            availability: SloCounters::new(&registry, &available),
+            fast_enough: SloCounters::new(&registry, &fast),
             extract: EndpointCounters::new(&registry, "extract"),
             explain: EndpointCounters::new(&registry, "explain"),
             healthz: EndpointCounters::new(&registry, "healthz"),
             metrics: EndpointCounters::new(&registry, "metrics"),
             admin: EndpointCounters::new(&registry, "admin"),
             other: EndpointCounters::new(&registry, "other"),
-            windows,
             registry,
         }
     }
@@ -106,11 +133,6 @@ impl ServeMetrics {
         &self.registry
     }
 
-    /// The sliding-window metric set (the telemetry `windows` block).
-    pub fn windows(&self) -> &WindowSet {
-        &self.windows
-    }
-
     /// Counters for a request path (the part before any query string).
     pub fn endpoint(&self, path: &str) -> &EndpointCounters {
         match path {
@@ -118,10 +140,34 @@ impl ServeMetrics {
             "/explain" => &self.explain,
             "/healthz" => &self.healthz,
             "/metrics" => &self.metrics,
-            "/admin/reload" | "/admin/shutdown" | "/admin/slo" | "/admin/slow"
-            | "/admin/profile" => &self.admin,
+            "/admin/reload" | "/admin/shutdown" | "/admin/slow" => &self.admin,
             _ => &self.other,
         }
+    }
+
+    /// Record one answered request, once: its latency (seconds from
+    /// arrival to the last byte written), and its outcome against each
+    /// objective. Available means written with a status below 500.
+    pub fn record_request(&self, status: u16, wrote: bool, total_s: f64) {
+        self.batch_size.record(1.0);
+        self.latency.record(total_s);
+        self.availability.record(wrote && status < 500);
+        self.fast_enough.record(total_s <= LATENCY_THRESHOLD_S);
+    }
+
+    /// Record one request or connection shed with `503`: it counts
+    /// against availability.
+    pub fn record_shed(&self) {
+        self.shed.inc();
+        self.availability.record(false);
+    }
+
+    /// Set the gauges a scrape reports: the admission queue's depth and
+    /// the uptime that stamps the scrape.
+    pub fn refresh_gauges(&self, queue_depth: usize) {
+        self.queue_depth.set(queue_depth as f64);
+        let uptime = self.clock.now_ticks().saturating_sub(self.launched_ticks);
+        self.uptime.set(uptime as f64 / TICKS_PER_SEC as f64);
     }
 
     /// Mark one request admitted to handling.
@@ -163,11 +209,13 @@ mod tests {
         assert_eq!(m.in_flight.get(), 1.0);
         assert_eq!(m.endpoint("/extract").requests.get(), 1);
         assert_eq!(m.endpoint("/other-too").errors.get(), 1);
-        // The new admin endpoints share the admin counters.
-        m.endpoint("/admin/slo").requests.inc();
+        // The admin endpoints share the admin counters.
         m.endpoint("/admin/slow").requests.inc();
-        m.endpoint("/admin/profile").requests.inc();
-        assert_eq!(m.endpoint("/admin/reload").requests.get(), 3);
+        m.endpoint("/admin/shutdown").requests.inc();
+        assert_eq!(m.endpoint("/admin/reload").requests.get(), 2);
+        // Retired endpoints are unknown paths now.
+        m.endpoint("/admin/slo").requests.inc();
+        assert_eq!(m.endpoint("/nope").requests.get(), 1);
     }
 
     #[test]
@@ -186,19 +234,29 @@ mod tests {
     }
 
     #[test]
-    fn windowed_mirrors_rotate_through_injected_clock() {
+    fn each_request_is_recorded_once_into_cumulative_counts() {
         let clock = Arc::new(VirtualClock::new());
+        clock.set(5 * TICKS_PER_SEC);
         let m = ServeMetrics::new(clock.clone());
-        m.w_requests.inc();
-        m.w_latency.record(0.002);
-        let snap = m.windows().snapshot();
-        assert_eq!(snap.window_s, 60.0);
-        assert_eq!(snap.rates["serve.requests"].count, 1);
-        assert_eq!(snap.histograms["serve.request.latency_s"].count, 1);
-        // Rotate the whole window out: everything expires.
-        clock.advance(61 * recipe_obs::window::TICKS_PER_SEC);
-        let snap = m.windows().snapshot();
-        assert_eq!(snap.rates["serve.requests"].count, 0);
-        assert_eq!(snap.histograms["serve.request.latency_s"].count, 0);
+        m.record_request(200, true, 0.002);
+        m.record_request(503, true, 0.002);
+        m.record_request(200, true, 0.5);
+        m.record_request(200, false, 0.001);
+        m.record_shed();
+        clock.advance(61 * TICKS_PER_SEC);
+        m.refresh_gauges(3);
+        let snap = m.registry().snapshot();
+        let c = |name: &str| snap.counters[name];
+        // Four answered, one shed: two of five available.
+        assert_eq!(c("slo.availability.count"), 5);
+        assert_eq!(c("slo.availability.good"), 2);
+        // Sheds are not timed; one of four answers was too slow.
+        assert_eq!(c("slo.latency.count"), 4);
+        assert_eq!(c("slo.latency.good"), 3);
+        assert_eq!(c("serve.shed"), 1);
+        assert_eq!(snap.histograms["serve.request.latency_s"].count, 4);
+        // Nothing expires: the counts are cumulative, stamped by uptime.
+        assert_eq!(snap.gauges["serve.uptime_s"], 61.0);
+        assert_eq!(snap.gauges["serve.queue.depth"], 3.0);
     }
 }

@@ -3,15 +3,17 @@
 //! queue-full shedding, mid-traffic hot-swap, telemetry document
 //! validity, and graceful drain (PR 8 acceptance criteria); plus the
 //! PR 9 observability surface — keep-alive reuse, request-id
-//! uniqueness, lifecycle exemplars at `/admin/slow`, burn-rate state
-//! at `/admin/slo`, response header hygiene, and prediction-drift
-//! scoring against the artifact's frozen reference.
+//! uniqueness, lifecycle exemplars at `/admin/slow`, burn-rate levels
+//! derived from two cumulative `/metrics` scrapes, response header
+//! hygiene, and prediction-drift scoring against the artifact's frozen
+//! reference.
 
 use recipe_core::artifact::{
     artifact_bytes_with_reference, capture_drift_reference, ArtifactPipeline,
 };
 use recipe_core::pipeline::{PipelineConfig, TrainedPipeline};
 use recipe_corpus::{CorpusSpec, RecipeCorpus, Site};
+use recipe_obs::slo::{derive, BurnWindow, Scrape};
 use recipe_serve::{entry_json, ServeConfig, ServeModel, Server};
 use serde_json::json;
 use std::io::{Read, Write};
@@ -90,6 +92,15 @@ fn request(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, Stri
         .and_then(|s| s.parse::<u16>().ok())
         .expect("status code");
     (status, head.to_string(), payload.to_string())
+}
+
+/// Scrape `/metrics` and keep its cumulative counts.
+fn scrape(addr: SocketAddr) -> Scrape {
+    let (status, _, body) = request(addr, "GET", "/metrics", "");
+    assert_eq!(status, 200);
+    let doc: serde_json::Value = serde_json::from_str(&body).expect("metrics json");
+    recipe_obs::report::validate_document(&doc).expect("metrics document schema");
+    Scrape::from_telemetry(&doc["telemetry"])
 }
 
 /// Send one request on an already-open keep-alive connection.
@@ -232,13 +243,20 @@ fn queue_full_sheds_with_503_and_retry_after() {
     let server = launch(&cfg, rma_model(&bytes));
     let addr = server.local_addr();
 
+    // Quiet traffic first: every request answered, nothing burns.
+    let body = serde_json::to_string(&json!({ "phrases": ["1 cup sugar"] })).expect("body");
+    let (status, _, _) = request(addr, "POST", "/extract", &body);
+    assert_eq!(status, 200);
+    let before = scrape(addr);
+    let quiet = derive(std::slice::from_ref(&before), &BurnWindow::production());
+    assert_eq!(quiet.level, "ok", "quiet traffic must not burn: {quiet:?}");
+
     let mut held = TcpStream::connect(addr).expect("connect held");
     held.write_all(b"POST /extr").expect("partial header");
     // Let the held connection take the only permit and block reading
     // the rest of its head before the flood arrives.
     std::thread::sleep(Duration::from_millis(300));
 
-    let body = serde_json::to_string(&json!({ "phrases": ["1 cup sugar"] })).expect("body");
     let flood: Vec<TcpStream> = (0..10)
         .map(|i| {
             let mut s = TcpStream::connect(addr).expect("connect flood");
@@ -293,15 +311,14 @@ fn queue_full_sheds_with_503_and_retry_after() {
     );
 
     // Nine sheds against a 99.9% availability target is a sustained
-    // burn over both fast windows: the SLO engine must page.
-    let (status, _, body) = request(addr, "GET", "/admin/slo", "");
-    assert_eq!(status, 200);
-    let slo: serde_json::Value = serde_json::from_str(&body).expect("slo json");
-    recipe_obs::validate_slo_document(&slo).expect("slo document schema");
+    // burn over both fast windows: the view derived from the scrapes
+    // before and after the burst must page.
+    let after = scrape(addr);
+    let view = derive(&[before, after], &BurnWindow::production());
+    assert_eq!(view.interval.shed, 9, "{view:?}");
     assert_eq!(
-        slo.get("level").and_then(|v| v.as_str()),
-        Some("critical"),
-        "shed burst must fire the fast burn-rate pair: {body}"
+        view.level, "critical",
+        "shed burst must fire the fast burn-rate pair: {view:?}"
     );
 
     server.request_shutdown();
@@ -368,7 +385,7 @@ fn healthz_and_metrics_serve_valid_documents() {
     let health: serde_json::Value = serde_json::from_str(&body).expect("healthz json");
     assert_eq!(health.get("status").and_then(|v| v.as_str()), Some("ok"));
     assert_eq!(health.get("model").and_then(|v| v.as_str()), Some("rma"));
-    assert_eq!(health.get("slo").and_then(|v| v.as_str()), Some("ok"));
+    assert!(health.get("slo").is_none(), "{body}");
 
     // Drive one extraction so the telemetry has serving counters.
     let req = serde_json::to_string(&json!({ "phrases": ["2 cups flour"] })).expect("body");
@@ -380,22 +397,35 @@ fn healthz_and_metrics_serve_valid_documents() {
     let doc: serde_json::Value = serde_json::from_str(&body).expect("metrics json");
     recipe_obs::report::validate_document(&doc).expect("metrics document schema");
     assert_eq!(doc.get("command").and_then(|v| v.as_str()), Some("serve"));
-    // The windows block must carry the serving mirrors with live data.
-    let windows = &doc["telemetry"]["windows"];
-    assert_eq!(windows["window_s"].as_f64(), Some(60.0));
-    assert!(
-        windows["rates"]["serve.requests"]["count"]
-            .as_u64()
-            .unwrap()
-            >= 1,
-        "windowed request rate must see the traffic: {windows}"
+    // Cumulative counts only: healthz and extract were each recorded
+    // once, into the latency histogram and both objectives' counters.
+    let telemetry = &doc["telemetry"];
+    assert!(telemetry.get("windows").is_none(), "{body}");
+    let counter = |name: &str| telemetry["counters"][name].as_u64();
+    assert_eq!(counter("slo.availability.count"), Some(2));
+    assert_eq!(counter("slo.availability.good"), Some(2));
+    assert_eq!(counter("slo.latency.count"), Some(2));
+    let latency = &telemetry["histograms"]["serve.request.latency_s"];
+    assert_eq!(latency["count"].as_u64(), Some(2));
+    let buckets = latency["buckets"].as_array().expect("buckets");
+    assert_eq!(
+        buckets.len(),
+        latency["bounds"].as_array().unwrap().len() + 1
     );
+    assert!(telemetry["gauges"]["serve.uptime_s"].as_f64().unwrap() > 0.0);
+    // The request profile rides in the same document.
     assert!(
-        windows["histograms"]["serve.request.latency_s"]["count"]
-            .as_u64()
+        telemetry["profile"]["nodes"]
+            .as_array()
             .unwrap()
-            >= 1
+            .iter()
+            .any(|n| n["path"] == json!(["serve", "extract", "handle"])),
+        "{body}"
     );
+    // The retired endpoints are gone.
+    for path in ["/admin/slo", "/admin/profile"] {
+        assert_eq!(request(addr, "GET", path, "").0, 404, "{path}");
+    }
     // The drift block is active (the artifact carries a reference).
     assert_eq!(doc["drift"]["active"].as_bool(), Some(true));
     assert!(doc["drift"]["level"].as_str().is_some());
@@ -519,7 +549,6 @@ fn every_endpoint_sets_json_content_type_and_exact_length() {
         ("POST", "/explain", extract.as_str()),
         ("GET", "/healthz", ""),
         ("GET", "/metrics", ""),
-        ("GET", "/admin/slo", ""),
         ("GET", "/admin/slow", ""),
         ("GET", "/no-such-endpoint", ""),
         ("PUT", "/extract", ""),

@@ -3,7 +3,8 @@
 //! counts, histogram bucket boundaries behave at the API surface, a
 //! trained pipeline exports a schema-valid telemetry snapshot, and
 //! profile exports (collapsed-stack folds, profile JSON, stage diffs)
-//! are byte-identical across worker counts.
+//! and the serving view derived from two cumulative scrapes are
+//! byte-identical across worker counts.
 //!
 //! Tests in this binary share the process-wide tracing switch and the
 //! global registry, so the ones that touch them serialize on a lock.
@@ -180,79 +181,96 @@ fn windowed_counter_buckets_expire_exactly_on_slot_boundaries() {
 }
 
 #[test]
-fn windowed_percentiles_follow_samples_across_rotation() {
-    // Old samples fall out of the quantile computation exactly when
-    // their slot expires: a bimodal distribution collapses to its fast
-    // mode once the slow epoch rotates away.
-    use recipe_obs::window::{Clock, TICKS_PER_SEC};
-    let clock = std::sync::Arc::new(recipe_obs::window::VirtualClock::new());
-    let spec = recipe_obs::window::WindowSpec::new(TICKS_PER_SEC, 4);
-    let hist = recipe_obs::window::WindowedHistogram::new(
-        clock.clone() as std::sync::Arc<dyn Clock>,
-        spec,
-        &[1.0, 10.0, 100.0],
-    );
+fn interval_percentiles_follow_bucket_deltas_between_scrapes() {
+    // Old samples fall out of the interval's quantiles exactly: the
+    // reader differences the cumulative buckets of two scrapes, so a
+    // bimodal history collapses to the mode recorded between them.
+    use recipe_obs::slo::{derive, LATENCY_HISTOGRAM, UPTIME_GAUGE};
+    let reg = recipe_obs::Registry::new();
+    let hist = reg.histogram(LATENCY_HISTOGRAM, &[1.0, 10.0, 100.0]);
+    let scrape = |uptime_s: f64| {
+        reg.gauge(UPTIME_GAUGE).set(uptime_s);
+        let t = recipe_obs::Telemetry::from_parts(Vec::new(), reg.snapshot());
+        recipe_obs::Scrape::from_telemetry(&serde_json::to_value(&t))
+    };
+    let pairs = recipe_obs::BurnWindow::production();
 
     for _ in 0..90 {
-        hist.record(0.5); // epoch 0, first bucket
+        hist.record(0.5); // first bucket
     }
-    clock.set(3 * TICKS_PER_SEC);
+    let fast = scrape(1.0);
     for _ in 0..10 {
-        hist.record(50.0); // epoch 3, third bucket
+        hist.record(50.0); // third bucket
     }
+    let mixed = scrape(2.0);
 
-    // Mixed window: the bulk is fast, the p99 sits in the slow bucket.
-    let snap = hist.snapshot();
-    assert_eq!(snap.count, 100);
-    assert!(snap.p50 <= 1.0, "{snap:?}");
-    assert!(snap.p99 > 10.0 && snap.p99 <= 100.0, "{snap:?}");
+    // Since launch: the bulk is fast, the p99 sits in the slow bucket.
+    let since_launch = derive(std::slice::from_ref(&mixed), &pairs).interval;
+    assert_eq!(since_launch.requests, 100);
+    assert!(since_launch.p50_s <= 1.0, "{since_launch:?}");
+    assert!(
+        since_launch.p99_s > 10.0 && since_launch.p99_s <= 100.0,
+        "{since_launch:?}"
+    );
 
-    // Epoch 0 expires: only the ten slow samples remain, and every
-    // quantile lands inside their bucket. The merged counts — and so
-    // the interpolated values — are exact, not approximate.
-    clock.set(4 * TICKS_PER_SEC);
-    assert_eq!(hist.count(), 10);
-    assert_eq!(hist.bucket_counts(), vec![0, 0, 10, 0]);
-    let snap = hist.snapshot();
-    assert!(snap.p50 > 10.0 && snap.p50 <= 100.0, "{snap:?}");
+    // Between the scrapes: only the ten slow samples, and the
+    // interpolated values are exact, not approximate.
+    let interval = derive(&[fast, mixed.clone()], &pairs).interval;
+    assert_eq!(interval.requests, 10);
     let expected =
         recipe_obs::window::quantile_from_counts(&[1.0, 10.0, 100.0], &[0, 0, 10, 0], 0.50);
-    assert_eq!(snap.p50, expected);
+    assert_eq!(interval.p50_s, expected);
+    assert!(interval.p50_s > 10.0 && interval.p50_s <= 100.0);
 
-    // Everything gone once epoch 3 rotates out.
-    clock.set(7 * TICKS_PER_SEC);
-    assert_eq!(hist.count(), 0);
-    assert_eq!(hist.snapshot().p999, 0.0);
+    // Nothing recorded since: an empty interval.
+    let quiet = derive(&[mixed, scrape(3.0)], &pairs).interval;
+    assert_eq!((quiet.requests, quiet.p99_s), (0, 0.0));
 }
 
 #[test]
 fn windows_snapshot_is_byte_identical_across_worker_counts() {
-    // Under a frozen virtual clock, the serialized `windows` block is a
-    // pure function of the recorded multiset — the worker count and
-    // interleaving must not show through. This is the determinism
-    // contract the serve-layer metrics endpoint builds on.
-    use recipe_obs::window::Clock;
+    // Under a frozen virtual clock, the view a reader derives from two
+    // cumulative scrapes (interval rate, p50/p99, burn levels) is a pure
+    // function of the recorded multiset: the worker count and
+    // interleaving must not show through. The events go through the
+    // server's one per-request record.
+    use recipe_obs::window::{Clock, TICKS_PER_SEC};
+    let scrape = |metrics: &recipe_serve::ServeMetrics| {
+        metrics.refresh_gauges(0);
+        let t = recipe_obs::Telemetry::from_parts(Vec::new(), metrics.registry().snapshot());
+        recipe_obs::Scrape::from_telemetry(&serde_json::to_value(&t))
+    };
     let mut serialized: Vec<String> = Vec::new();
     for &threads in &[1usize, 4, 8] {
         let clock = std::sync::Arc::new(recipe_obs::window::VirtualClock::new());
-        clock.set(41 * recipe_obs::window::TICKS_PER_SEC);
-        let set = recipe_obs::window::WindowSet::new(
-            clock as std::sync::Arc<dyn Clock>,
-            recipe_obs::window::WindowSpec::serving(),
-        );
-        let requests = set.counter("requests");
-        let latency = set.latency_histogram("latency.handle_s");
+        let metrics = recipe_serve::ServeMetrics::new(clock.clone() as std::sync::Arc<dyn Clock>);
+        let rt = Runtime::new(threads);
+        let record = |items: &[u64]| {
+            rt.par_map(items, |_, &i| {
+                // One in 97 fails, one in 89 is too slow.
+                let status = if i % 97 == 0 { 500 } else { 200 };
+                let latency_s = if i % 89 == 0 {
+                    0.3
+                } else {
+                    (i % 31) as f64 * 1e-4
+                };
+                metrics.record_request(status, true, latency_s);
+            });
+        };
 
         let items: Vec<u64> = (0..10_000).collect();
-        let rt = Runtime::new(threads);
-        rt.par_map(&items, |_, &i| {
-            requests.inc();
-            latency.record((i % 97) as f64 * 1e-4);
-        });
+        clock.set(41 * TICKS_PER_SEC);
+        record(&items[..4_000]);
+        let before = scrape(&metrics);
+        clock.set(101 * TICKS_PER_SEC);
+        record(&items[4_000..]);
+        let after = scrape(&metrics);
 
-        let snap = set.snapshot();
-        assert_eq!(snap.rates["requests"].count, items.len() as u64);
-        serialized.push(serde_json::to_string(&snap).expect("windows block serializes"));
+        let view = recipe_obs::slo::derive(&[before, after], &recipe_obs::BurnWindow::production());
+        assert_eq!(view.interval.requests, 6_000);
+        assert_eq!(view.interval.seconds, 60.0);
+        assert_eq!(view.interval.per_s, 100.0);
+        serialized.push(serde_json::to_string(&view).expect("view serializes"));
     }
     assert_eq!(serialized[0], serialized[1], "1 vs 4 workers");
     assert_eq!(serialized[0], serialized[2], "1 vs 8 workers");
